@@ -1,10 +1,19 @@
 """Exact and randomized counting of bipartite matchings in 0-1 matrices.
 
 The package counts all matchings of a bipartite graph given as a 0-1 matrix
-(exactly, via a memoized row recursion or a permanent identity), estimates
-the count with unbiased single-sample estimators, and evaluates closed-form
-moments of the count over random-matrix ensembles with exact rational
-arithmetic.  See the README for the CLI.
+(exactly, via a forward row sweep over used-column sets or a permanent
+identity), estimates the count with unbiased single-sample estimators, and
+evaluates closed-form moments of the count over random-matrix ensembles with
+exact rational arithmetic.  The same sweep gives the profile by matching size
+and the exact second moments of both estimators:
+
+    quantity                   skip   weight per state
+    count_all_matchings        yes    1
+    matching_profile           yes    1
+    amm_trial_second_moment    yes    q = |row & ~used| + 1
+    rm_trial_second_moment     no     q = |row & ~used|
+
+See the README for the CLI.
 """
 
 from .ensembles import (
@@ -43,7 +52,7 @@ from .exact import (
     permanent_ryser,
     rm_trial_second_moment,
 )
-from .matrix import ColumnSet, ZeroOneMatrix, build_transformed, read_matrix, write_matrix
+from .matrix import ZeroOneMatrix, build_transformed, read_matrix, write_matrix
 from .moments import (
     MeanBounds,
     MomentStatistic,

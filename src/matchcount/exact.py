@@ -1,16 +1,30 @@
 """Exact counting: matchings, permanents, and estimator second moments.
 
-The workhorse is a memoized recursion on (row index, available columns).
-Processing rows top-down, a row either stays unmatched or is matched to one
-of its available columns:
+Every production exact quantity comes from one forward sweep over the rows.
+The state after row i is the set of columns used so far, as a bitmask, and
+each state carries an integer weight.  Row i either skips (when skipping is
+allowed) or takes one free 1-column, that is one in row_i & ~used:
 
-    count(i, avail) = count(i+1, avail) + sum over j in row_i & avail of
-                      count(i+1, avail minus j)
+    layer(i+1)[used]         += w(i, used) * layer(i)[used]     (skip)
+    layer(i+1)[used | bit j] += w(i, used) * layer(i)[used]     (take j)
 
-with count(m, avail) = 1 for the empty row suffix.  Memo tables are plain
-dicts keyed on (row, column bitmask); at most m * 2^n states exist, which is
-why these routines insist on cols <= MAX_RECURSION_COLS.  All arithmetic is
-Python int, so counts never overflow or round.
+starting from layer(0) = {0: 1}.  The answer is the sum of the last layer,
+which is the sum over all row-by-row paths of the product of their weights.
+Two choices select the quantity:
+
+    quantity                   skip   weight w(i, used)
+    count_all_matchings        yes    1
+    matching_profile           yes    1
+    amm_trial_second_moment    yes    q = |row_i & ~used| + 1
+    rm_trial_second_moment     no     q = |row_i & ~used|
+
+The profile is the last layer bucketed by the number of used columns.  A
+layer is dropped once the next one is built, so at most two layers of at
+most 2^cols states each are alive and the row count only costs time.
+Count and profile are invariant under transpose and sweep the narrower
+side; the second moments describe estimators that walk the rows in input
+order, so they always sweep the rows as given.  All arithmetic is Python
+int, so counts never overflow or round.
 """
 
 from fractions import Fraction
@@ -20,7 +34,7 @@ from .errors import CapacityError, ShapeError, UndefinedRatioError
 from .estimators import Method
 from .matrix import ZeroOneMatrix, build_transformed
 
-# State space of the row recursion is m * 2^cols; 24 columns is the point
+# The sweep holds up to 2^cols states per layer; 24 columns is the point
 # where a dense worst case stops fitting in desk-scale memory.
 MAX_RECURSION_COLS = 24
 # Ryser's formula walks all 2^n column subsets.
@@ -28,8 +42,6 @@ MAX_RYSER_COLS = 20
 # The permanent route builds a 2n x 2n matrix for Ryser, so n caps at 10.
 MAX_TRANSFORM_SIDE = 10
 
-# Aliases for the shapes the recursions trade in.
-MemoTable = dict[tuple[int, int], int]
 MatchingProfile = list[int]
 
 
@@ -38,71 +50,61 @@ def _require_cols(a: ZeroOneMatrix, cap: int, what: str):
         raise CapacityError(f"{what} supports at most {cap} columns, got {a.cols}")
 
 
+def _sweep(masks, skip: bool, weighted: bool) -> dict[int, int]:
+    """Last layer {used columns: weight sum} of the forward row sweep."""
+    layer = {0: 1}
+    for row in masks:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for used, value in layer.items():
+            free = row & ~used
+            if weighted:
+                value *= free.bit_count() + skip
+            if skip:
+                nxt[used] = get(used, 0) + value
+            while free:
+                bit = free & -free
+                key = used | bit
+                nxt[key] = get(key, 0) + value
+                free ^= bit
+        layer = nxt
+    return layer
+
+
+def _narrow_masks(a: ZeroOneMatrix):
+    """Row masks of a, or of its transpose when that has fewer columns."""
+    if a.cols <= a.rows:
+        return a.row_masks
+    cols = [0] * a.cols
+    for i, row in enumerate(a.row_masks):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
 def count_all_matchings(a: ZeroOneMatrix) -> int:
     """Total number of matchings of a, the empty matching included.
 
     Always at least 1.  Requires cols <= MAX_RECURSION_COLS.
     """
     _require_cols(a, MAX_RECURSION_COLS, "count_all_matchings")
-    masks = a.row_masks
-    m = a.rows
-    memo: MemoTable = {}
-
-    def value(i: int, avail: int) -> int:
-        if i == m:
-            return 1
-        key = (i, avail)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = value(i + 1, avail)
-        choices = masks[i] & avail
-        while choices:
-            bit = choices & -choices
-            total += value(i + 1, avail ^ bit)
-            choices ^= bit
-        memo[key] = total
-        return total
-
-    return value(0, (1 << a.cols) - 1)
+    return sum(_sweep(_narrow_masks(a), True, False).values())
 
 
 def matching_profile(a: ZeroOneMatrix) -> MatchingProfile:
     """Counts of k-edge matchings for k = 0 .. cols.
 
     Entry 0 is always 1 (the empty matching) and the entries sum to
-    count_all_matchings(a).  Same recursion as the total count, but the value
-    carried per state is a tuple of counts by matching size.
+    count_all_matchings(a).  A state of the count sweep that has used k
+    columns ends k-edge matchings, so the profile buckets the last layer.
     """
     _require_cols(a, MAX_RECURSION_COLS, "matching_profile")
-    masks = a.row_masks
-    m = a.rows
-    memo: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def value(i: int, avail: int) -> tuple[int, ...]:
-        if i == m:
-            return (1,)
-        key = (i, avail)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = list(value(i + 1, avail))
-        choices = masks[i] & avail
-        while choices:
-            bit = choices & -choices
-            sub = value(i + 1, avail ^ bit)
-            # matching row i to this column adds one edge: shift by one
-            if len(acc) < len(sub) + 1:
-                acc.extend([0] * (len(sub) + 1 - len(acc)))
-            for k, c in enumerate(sub):
-                acc[k + 1] += c
-            choices ^= bit
-        out = tuple(acc)
-        memo[key] = out
-        return out
-
-    counts = list(value(0, (1 << a.cols) - 1))
-    counts.extend([0] * (a.cols + 1 - len(counts)))
+    counts = [0] * (a.cols + 1)
+    for used, value in _sweep(_narrow_masks(a), True, False).items():
+        counts[used.bit_count()] += value
     return counts
 
 
@@ -155,72 +157,26 @@ def count_matchings_via_permanent(a: ZeroOneMatrix) -> int:
 def amm_trial_second_moment(a: ZeroOneMatrix) -> int:
     """Exact E[X^2] for the skip-allowing estimator on a fixed matrix.
 
-    At state (i, avail) a trial has q = |row_i & avail| + 1 equally likely
-    branches (the skip branch plus one per available 1-column) and multiplies
-    its output by q, so the second moment obeys
-
-        V(i, avail) = q * (V(i+1, avail) + sum_j V(i+1, avail minus j))
-
-    with V(m, avail) = 1.  The result is an exact integer.
+    At row i with used columns `used` a trial has q = |row_i & ~used| + 1
+    equally likely branches (the skip branch plus one per free 1-column) and
+    multiplies its output by q.  A path is taken with probability 1/prod(q)
+    and outputs prod(q), so E[X^2] = sum over paths of prod(q): the weighted
+    sweep with skipping.  The result is an exact integer.
     """
     _require_cols(a, MAX_RECURSION_COLS, "amm_trial_second_moment")
-    masks = a.row_masks
-    m = a.rows
-    memo: MemoTable = {}
-
-    def value(i: int, avail: int) -> int:
-        if i == m:
-            return 1
-        key = (i, avail)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        choices = masks[i] & avail
-        q = choices.bit_count() + 1
-        total = value(i + 1, avail)
-        while choices:
-            bit = choices & -choices
-            total += value(i + 1, avail ^ bit)
-            choices ^= bit
-        out = q * total
-        memo[key] = out
-        return out
-
-    return value(0, (1 << a.cols) - 1)
+    return sum(_sweep(a.row_masks, True, True).values())
 
 
 def rm_trial_second_moment(a: ZeroOneMatrix) -> int:
     """Exact E[Y^2] for the perfect-matching estimator on a square matrix.
 
-    Same shape as the skip-allowing recursion minus the skip branch; a row
-    with no available 1-column kills the trial, contributing 0.
+    Same sweep as the skip-allowing moment minus the skip branch; a row with
+    no free 1-column kills the trial, contributing 0.
     """
     if not a.is_square:
         raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
     _require_cols(a, MAX_RECURSION_COLS, "rm_trial_second_moment")
-    masks = a.row_masks
-    m = a.rows
-    memo: MemoTable = {}
-
-    def value(i: int, avail: int) -> int:
-        if i == m:
-            return 1
-        key = (i, avail)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        choices = masks[i] & avail
-        q = choices.bit_count()
-        total = 0
-        while choices:
-            bit = choices & -choices
-            total += value(i + 1, avail ^ bit)
-            choices ^= bit
-        out = q * total
-        memo[key] = out
-        return out
-
-    return value(0, (1 << a.cols) - 1)
+    return sum(_sweep(a.row_masks, False, True).values())
 
 
 def critical_ratio(a: ZeroOneMatrix, method: Method) -> Fraction:

@@ -89,64 +89,6 @@ class ZeroOneMatrix:
         return write_matrix(self)
 
 
-class ColumnSet:
-    """Set of column indices backed by a bitmask.
-
-    The exact-counting recursions key their memo tables on (row index,
-    available columns); this class is the available-columns half.  It is a
-    thin wrapper: algorithms work on ``.mask`` directly.
-    """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int = 0):
-        if mask < 0:
-            raise ValueError("mask must be nonnegative")
-        self.mask = mask
-
-    @classmethod
-    def full(cls, n: int) -> "ColumnSet":
-        return cls((1 << n) - 1)
-
-    @classmethod
-    def of(cls, *indices: int) -> "ColumnSet":
-        mask = 0
-        for j in indices:
-            mask |= 1 << j
-        return cls(mask)
-
-    def contains(self, j: int) -> bool:
-        return (self.mask >> j) & 1 == 1
-
-    def add(self, j: int) -> "ColumnSet":
-        return ColumnSet(self.mask | (1 << j))
-
-    def remove(self, j: int) -> "ColumnSet":
-        return ColumnSet(self.mask & ~(1 << j))
-
-    def intersect(self, other: "ColumnSet") -> "ColumnSet":
-        return ColumnSet(self.mask & other.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self):
-        mask = self.mask
-        while mask:
-            bit = mask & -mask
-            yield bit.bit_length() - 1
-            mask ^= bit
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColumnSet) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def __repr__(self) -> str:
-        return f"ColumnSet.of({', '.join(str(j) for j in self)})"
-
-
 def build_transformed(a: ZeroOneMatrix) -> ZeroOneMatrix:
     """Embed a square matrix A into the 2n x 2n block matrix [[A, I], [J, J]].
 

@@ -1,6 +1,6 @@
 """Self-verification: production algorithms against independent oracles.
 
-Each check runs a dual route to the same numbers (memoized recursion vs
+Each check runs a dual route to the same numbers (row sweep vs
 per-matching enumeration, permanent route vs direct count, closed form vs
 ensemble enumeration, coin-path expectation vs exact count) and fails loudly
 with the offending matrix serialized in the detail, so a corrupted build
@@ -168,7 +168,7 @@ def check_rm_unbiased() -> CheckResult:
 
 
 def check_second_moments_exact() -> CheckResult:
-    """Closed recursions for E[X^2] match the coin-path second moments."""
+    """Weighted row sweeps for E[X^2] match the coin-path second moments."""
     name = "second-moments-exact"
     seen = 0
     for m, n in _SMALL_SHAPES:
@@ -176,12 +176,12 @@ def check_second_moments_exact() -> CheckResult:
             dist = outcome_distribution(a, Method.AMM)
             path = sum((v * v * p for v, p in dist.items()), Fraction(0))
             if path != amm_trial_second_moment(a):
-                return _fail(name, a, f"amm second moment {path} != recursion")
+                return _fail(name, a, f"amm second moment {path} != sweep")
             if m == n:
                 dist = outcome_distribution(a, Method.RM)
                 path = sum((v * v * p for v, p in dist.items()), Fraction(0))
                 if path != rm_trial_second_moment(a):
-                    return _fail(name, a, f"rm second moment {path} != recursion")
+                    return _fail(name, a, f"rm second moment {path} != sweep")
             seen += 1
     return CheckResult(name, True, f"{seen} matrices agree")
 

@@ -1,4 +1,4 @@
-"""Exact counting: row recursion, brute-force agreement, permanent routes."""
+"""Exact counting: row sweep, brute-force agreement, permanent routes."""
 
 import math
 from fractions import Fraction
@@ -48,11 +48,19 @@ def test_count_matches_brute_force_exhaustive():
 
 
 def test_count_transpose_invariant():
-    for a in all_matrices(3, 2):
-        at = ZeroOneMatrix.from_rows(
-            [[a.entry(i, j) for i in range(a.rows)] for j in range(a.cols)]
-        )
-        assert count_all_matchings(a) == count_all_matchings(at)
+    """Wide inputs are swept transposed; both orientations must agree."""
+    for m, n in ((3, 2), (2, 5), (5, 2)):
+        for a in all_matrices(m, n):
+            at = ZeroOneMatrix.from_rows(
+                [[a.entry(i, j) for i in range(a.rows)] for j in range(a.cols)]
+            )
+            assert count_all_matchings(a) == count_all_matchings(at)
+            profile, profile_t = matching_profile(a), matching_profile(at)
+            assert len(profile) == a.cols + 1
+            assert len(profile_t) == at.cols + 1
+            k = min(m, n) + 1
+            assert profile[:k] == profile_t[:k]
+            assert not any(profile[k:]) and not any(profile_t[k:])
 
 
 def test_matching_profile():
@@ -132,6 +140,24 @@ def test_capacity_limits():
         count_matchings_via_permanent(ZeroOneMatrix.zeros(11, 11))
     # right at the cap is fine
     assert count_all_matchings(ZeroOneMatrix.zeros(1, 24)) == 1
+
+
+def test_tall_matrix_has_no_recursion_limit():
+    """Row count costs time only: 3000 rows are swept without recursion."""
+    a = ZeroOneMatrix.ones(3000, 3)
+    assert count_all_matchings(a) == sum(
+        math.comb(3000, k) * math.comb(3, k) * math.factorial(k) for k in range(4)
+    ) == 27000006001
+    assert matching_profile(a) == [
+        1, 9000, 3 * 2 * math.comb(3000, 2), 6 * math.comb(3000, 3)
+    ]
+
+
+def test_amm_second_moment_ignores_zero_rows():
+    """A zero row gives the amm trial a single skip branch with q = 1."""
+    a = ZeroOneMatrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 0, 1]])
+    padded = ZeroOneMatrix(a.rows + 3000, a.cols, a.row_masks + (0,) * 3000)
+    assert amm_trial_second_moment(padded) == amm_trial_second_moment(a) == 318
 
 
 def test_wide_matrix_stays_fast():

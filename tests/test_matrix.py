@@ -3,7 +3,6 @@
 import pytest
 
 from matchcount import (
-    ColumnSet,
     ParseError,
     ShapeError,
     ZeroOneMatrix,
@@ -52,19 +51,6 @@ def test_matrix_equality_and_hash():
     assert a == ZeroOneMatrix.identity(2)
     assert hash(a) == hash(ZeroOneMatrix.identity(2))
     assert a != ZeroOneMatrix.ones(2, 2)
-
-
-def test_column_set():
-    s = ColumnSet.full(4)
-    assert len(s) == 4 and s.mask == 0b1111
-    s = s.remove(1)
-    assert not s.contains(1) and s.contains(0)
-    assert list(s) == [0, 2, 3]
-    assert s.add(1) == ColumnSet.full(4)
-    assert s.intersect(ColumnSet.of(1, 2)) == ColumnSet.of(2)
-    assert len(ColumnSet()) == 0
-    with pytest.raises(ValueError):
-        ColumnSet(-1)
 
 
 def test_build_transformed_blocks():
