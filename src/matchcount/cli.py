@@ -257,6 +257,13 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _parse_eps(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise MatchcountError(f"--eps wants a rational like 1/50, got {text!r}") from None
+
+
 def _require(args, record: ResultRecord, *names: str):
     for name in names:
         if getattr(args, name) is None:
@@ -299,7 +306,7 @@ def cmd_moments(args) -> int:
         record.put("lower-bound-diag", second_moment_diag_lower_bound(args.n))
     elif formula == "thm7":
         _require(args, record, "n")
-        eps = Fraction(args.eps)
+        eps = _parse_eps(args.eps)
         record.params["eps"] = str(eps)
         record.put("value", majority_tail(args.n, eps))
     else:  # thm8-mean, thm8-m2
@@ -329,7 +336,7 @@ def cmd_ratio_scan(args) -> int:
         raise MatchcountError(f"--n-range wants LO:HI, got {args.n_range!r}") from None
     if not 1 <= lo <= hi:
         raise MatchcountError(f"--n-range wants 1 <= LO <= HI, got {args.n_range!r}")
-    eps = Fraction(args.eps)
+    eps = _parse_eps(args.eps)
     columns = [
         "n",
         "mean",

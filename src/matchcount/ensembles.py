@@ -23,6 +23,9 @@ from .streams import RandomStream
 # the fixed-ones ensembles.  Past these the support does not fit in a test.
 MAX_ENUM_CELLS = 20
 MAX_ENUM_SUPPORT = 10**6
+# Sampling draws (Bernoulli) or shuffles (fixed-ones) one value per cell, so
+# a spec with more cells than this is refused before the first draw.
+MAX_SAMPLE_CELLS = 10**6
 
 
 class EnsembleKind(Enum):
@@ -104,8 +107,15 @@ def sample_matrix(spec: EnsembleSpec, stream: RandomStream) -> ZeroOneMatrix:
     Bernoulli entries are decided in row-major order by exact comparison
     randbelow(q) < p_num (no floating point).  The fixed-ones kinds place m
     ones with a partial Fisher-Yates pass over the n^2 cell indices, which is
-    uniform over all C(n^2, m) placements.
+    uniform over all C(n^2, m) placements.  Specs with more than
+    MAX_SAMPLE_CELLS cells raise CapacityError before any draw.
     """
+    rows, cols = spec.shape
+    if rows * cols > MAX_SAMPLE_CELLS:
+        raise CapacityError(
+            f"sampling {spec} needs {rows}x{cols} = {rows * cols} cells, "
+            f"cap is {MAX_SAMPLE_CELLS}"
+        )
     if spec.kind is EnsembleKind.BERNOULLI:
         num, den = spec.p.numerator, spec.p.denominator
         masks = []

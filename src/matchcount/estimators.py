@@ -140,6 +140,8 @@ def run_trials(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     if method is Method.RM and not a.is_square:
         raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
     trial = rm_trial if method is Method.RM else amm_trial

@@ -18,13 +18,22 @@ Two choices select the quantity:
     amm_trial_second_moment    yes    q = |row_i & ~used| + 1
     rm_trial_second_moment     no     q = |row_i & ~used|
 
-The profile is the last layer bucketed by the number of used columns.  A
-layer is dropped once the next one is built, so at most two layers of at
-most 2^cols states each are alive and the row count only costs time.
-Count and profile are invariant under transpose and sweep the narrower
-side; the second moments describe estimators that walk the rows in input
-order, so they always sweep the rows as given.  All arithmetic is Python
-int, so counts never overflow or round.
+A matching of a bipartite graph is an independent choice of one matching in
+each connected component, and a trial's branch counts at a row depend only
+on earlier rows of that row's component.  So every quantity is swept once
+per component (rows that share a column, directly or through other rows,
+kept in input order) and the results combine: counts and both second moments
+multiply, and profiles convolve.  A zero row is in no component; it leaves
+the count and the amm moment unchanged (q = 1) and makes the rm moment 0.
+
+A component's profile is its last layer bucketed by the number of used
+columns.  A layer is dropped once the next one is built, so at most two
+layers of at most 2^width states each are alive and the row count only
+costs time.  Count and profile are invariant under transpose and sweep each
+component on its narrower side, so width is min(rows, cols) of the
+component; the second moments describe estimators that walk the rows in
+input order, so they never transpose and width is the component's column
+count.  All arithmetic is Python int, so counts never overflow or round.
 """
 
 from fractions import Fraction
@@ -34,8 +43,8 @@ from .errors import CapacityError, ShapeError, UndefinedRatioError
 from .estimators import Method
 from .matrix import ZeroOneMatrix, build_transformed
 
-# The sweep holds up to 2^cols states per layer; 24 columns is the point
-# where a dense worst case stops fitting in desk-scale memory.
+# A component's sweep holds up to 2^width states per layer; width 24 is the
+# point where a dense worst case stops fitting in desk-scale memory.
 MAX_RECURSION_COLS = 24
 # Ryser's formula walks all 2^n column subsets.
 MAX_RYSER_COLS = 20
@@ -71,41 +80,107 @@ def _sweep(masks, skip: bool, weighted: bool) -> dict[int, int]:
     return layer
 
 
-def _narrow_masks(a: ZeroOneMatrix):
-    """Row masks of a, or of its transpose when that has fewer columns."""
-    if a.cols <= a.rows:
-        return a.row_masks
-    cols = [0] * a.cols
-    for i, row in enumerate(a.row_masks):
+def _components(masks) -> list[tuple[int, list[int]]]:
+    """(columns, rows) of each connected component of the nonzero rows.
+
+    Two rows are in one component when they share a column, directly or
+    through other rows.  Zero rows belong to no component and are dropped;
+    each component keeps its rows in input order.
+    """
+    spans: list[int] = []
+    for row in masks:
+        if row:
+            apart = []
+            for cols in spans:
+                if cols & row:
+                    row |= cols
+                else:
+                    apart.append(cols)
+            apart.append(row)
+            spans = apart
+    if len(spans) < 2:
+        return [(cols, list(filter(None, masks))) for cols in spans]
+    groups: dict[int, list[int]] = {cols: [] for cols in spans}
+    for row in masks:
+        if row:
+            for cols, rows in groups.items():
+                if cols & row:
+                    rows.append(row)
+                    break
+    return list(groups.items())
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Column masks over row positions, in column order, zero columns left out."""
+    cols: dict[int, int] = {}
+    for i, row in enumerate(rows):
         bit = 1 << i
         while row:
             low = row & -row
-            cols[low.bit_length() - 1] |= bit
+            cols[low] = cols.get(low, 0) | bit
             row ^= low
-    return cols
+    return [cols[low] for low in sorted(cols)]
+
+
+def _split(a: ZeroOneMatrix, what: str, narrow: bool) -> list[tuple[int, list[int]]]:
+    """(state width, row masks) of each component, checked against the cap.
+
+    With narrow set, a component with more columns than rows is transposed,
+    so its sweep state has min(rows, cols) bits; otherwise the state has one
+    bit per column of the component.
+    """
+    parts = []
+    widest = 0
+    for cols, rows in _components(a.row_masks):
+        width = cols.bit_count()
+        if narrow and width > len(rows):
+            width, rows = len(rows), _transpose(rows)
+        widest = max(widest, width)
+        parts.append((width, rows))
+    if widest > MAX_RECURSION_COLS:
+        side = "rows or columns (narrower side)" if narrow else "columns"
+        raise CapacityError(
+            f"{what} supports connected components of at most {MAX_RECURSION_COLS} "
+            f"{side}, got one of {widest}"
+        )
+    return parts
+
+
+def _convolve(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
 
 
 def count_all_matchings(a: ZeroOneMatrix) -> int:
     """Total number of matchings of a, the empty matching included.
 
-    Always at least 1.  Requires cols <= MAX_RECURSION_COLS.
+    Always at least 1: the product of the component counts.  Requires every
+    connected component to have at most MAX_RECURSION_COLS rows or columns.
     """
-    _require_cols(a, MAX_RECURSION_COLS, "count_all_matchings")
-    return sum(_sweep(_narrow_masks(a), True, False).values())
+    total = 1
+    for _, masks in _split(a, "count_all_matchings", True):
+        total *= sum(_sweep(masks, True, False).values())
+    return total
 
 
 def matching_profile(a: ZeroOneMatrix) -> MatchingProfile:
     """Counts of k-edge matchings for k = 0 .. cols.
 
     Entry 0 is always 1 (the empty matching) and the entries sum to
-    count_all_matchings(a).  A state of the count sweep that has used k
-    columns ends k-edge matchings, so the profile buckets the last layer.
+    count_all_matchings(a).  A state of a component's sweep that has used k
+    columns ends k-edge matchings, so each component's profile buckets its
+    last layer, and the profile of a is their convolution.
     """
-    _require_cols(a, MAX_RECURSION_COLS, "matching_profile")
-    counts = [0] * (a.cols + 1)
-    for used, value in _sweep(_narrow_masks(a), True, False).items():
-        counts[used.bit_count()] += value
-    return counts
+    profile = [1]
+    for width, masks in _split(a, "matching_profile", True):
+        part = [0] * (width + 1)
+        for used, value in _sweep(masks, True, False).items():
+            part[used.bit_count()] += value
+        profile = _convolve(profile, part)
+    return profile + [0] * (a.cols + 1 - len(profile))
 
 
 def permanent_ryser(a: ZeroOneMatrix) -> int:
@@ -161,22 +236,31 @@ def amm_trial_second_moment(a: ZeroOneMatrix) -> int:
     equally likely branches (the skip branch plus one per free 1-column) and
     multiplies its output by q.  A path is taken with probability 1/prod(q)
     and outputs prod(q), so E[X^2] = sum over paths of prod(q): the weighted
-    sweep with skipping.  The result is an exact integer.
+    sweep with skipping.  The result is an exact integer: the product of the
+    component moments, as a zero row has q = 1 and a row's q depends only on
+    earlier rows of its own component.
     """
-    _require_cols(a, MAX_RECURSION_COLS, "amm_trial_second_moment")
-    return sum(_sweep(a.row_masks, True, True).values())
+    total = 1
+    for _, masks in _split(a, "amm_trial_second_moment", False):
+        total *= sum(_sweep(masks, True, True).values())
+    return total
 
 
 def rm_trial_second_moment(a: ZeroOneMatrix) -> int:
     """Exact E[Y^2] for the perfect-matching estimator on a square matrix.
 
     Same sweep as the skip-allowing moment minus the skip branch; a row with
-    no free 1-column kills the trial, contributing 0.
+    no free 1-column kills the trial, contributing 0, so a zero row makes
+    the moment 0 and otherwise it is the product of the component moments.
     """
     if not a.is_square:
         raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
-    _require_cols(a, MAX_RECURSION_COLS, "rm_trial_second_moment")
-    return sum(_sweep(a.row_masks, False, True).values())
+    if 0 in a.row_masks:
+        return 0
+    total = 1
+    for _, masks in _split(a, "rm_trial_second_moment", False):
+        total *= sum(_sweep(masks, False, True).values())
+    return total
 
 
 def critical_ratio(a: ZeroOneMatrix, method: Method) -> Fraction:

@@ -7,8 +7,9 @@ with the offending matrix serialized in the detail, so a corrupted build
 points straight at a counterexample.
 
 Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
-"full" adds the 4x4 exhaustive sweep, random 8x8 ratio-bound checks and the
-peak sandwich up to n = 100.
+"full" adds the 4x4 exhaustive sweep, random 8x8 ratio-bound checks, the
+peak sandwich up to n = 100 and the disjoint-union factorisation of count
+and profile.
 """
 
 import time
@@ -213,6 +214,49 @@ def check_ratio_bound() -> CheckResult:
     return CheckResult(name, True, f"{seen} ratios bounded")
 
 
+def _interleaved_union(a: ZeroOneMatrix, b: ZeroOneMatrix) -> ZeroOneMatrix:
+    """Block-diagonal [[a, 0], [0, b]] with the rows of a and b alternating."""
+    top = list(a.row_masks)
+    bottom = [mask << a.cols for mask in b.row_masks]
+    rows = []
+    for k in range(max(a.rows, b.rows)):
+        rows += top[k:k + 1] + bottom[k:k + 1]
+    return ZeroOneMatrix(a.rows + b.rows, a.cols + b.cols, tuple(rows))
+
+
+def check_component_product(samples=150, seed=2024) -> CheckResult:
+    """Count and profile of a disjoint union: product and convolution of the blocks.
+
+    Each sample draws two fair-coin blocks of random shape up to 4x4 and
+    interleaves their rows in a block-diagonal union; the expected values
+    come from enumerating each block on its own.
+    """
+    name = "component-product"
+    shapes = RandomStream(seed, 0)
+    for t in range(samples):
+        a, b = (
+            sample_matrix(
+                _bernoulli_half(1 + shapes.randbelow(4), 1 + shapes.randbelow(4)),
+                RandomStream(seed, 2 * t + k + 1),
+            )
+            for k in range(2)
+        )
+        union = _interleaved_union(a, b)
+        expect = brute_force_matching_count(a) * brute_force_matching_count(b)
+        got = count_all_matchings(union)
+        if got != expect:
+            return _fail(name, union, f"count {got}, product of the blocks {expect}")
+        pa, pb = brute_force_matching_profile(a), brute_force_matching_profile(b)
+        expect = [
+            sum(pa[i] * pb[k - i] for i in range(len(pa)) if 0 <= k - i < len(pb))
+            for k in range(len(pa) + len(pb) - 1)
+        ]
+        got = matching_profile(union)
+        if got != expect:
+            return _fail(name, union, f"profile {got}, convolution of the blocks {expect}")
+    return CheckResult(name, True, f"{samples} interleaved unions factor")
+
+
 def check_ratio_bound_random(n=8, samples=100, seed=2024) -> CheckResult:
     """Critical ratio bound on random fair-coin n x n matrices."""
     name = "ratio-bound-random"
@@ -380,6 +424,7 @@ FULL_EXTRAS = [
     _check_count_4x4,
     check_ratio_bound_random,
     check_peak_sandwich,
+    check_component_product,
 ]
 
 

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import matchcount
 import matchcount.verify as verify
 from matchcount.cli import main
 from matchcount.exact import count_all_matchings
@@ -93,6 +98,48 @@ def test_exact_rejects_malformed_matrix(tmp_path, capsys):
     code, out, err = run_cli(capsys, "exact", "--input", str(path))
     assert code == 1
     assert "line 3" in err
+
+
+def test_exact_caps_component_not_matrix_width(tmp_path, capsys):
+    """One 30-column row is a single component one row wide."""
+    path = tmp_path / "wide.txt"
+    path.write_text("1 30\n" + "1" * 30 + "\n", encoding="utf-8")
+    code, record = run_json(capsys, "exact", "--input", str(path))
+    assert code == 0
+    assert record["values"]["count"] == "31"
+    assert record["values"]["profile"] == " ".join(["1", "30"] + ["0"] * 29)
+
+
+def test_exact_rejects_wide_component(tmp_path, capsys):
+    path = tmp_path / "dense.txt"
+    path.write_text("25 25\n" + ("1" * 25 + "\n") * 25, encoding="utf-8")
+    code, out, err = run_cli(capsys, "exact", "--input", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "25" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "thm7", "--n", "3", "--eps", "abc"),
+        ("moments", "thm7", "--n", "3", "--eps", "1/0"),
+        ("ratio-scan", "--n-range", "1:3", "--eps", "xyz"),
+        ("estimate", "--random", "bernoulli:2:2:1/2", "--workers", "0"),
+        ("estimate", "--random", "bernoulli:2:2:1/2", "--workers", "-3"),
+        ("exact", "--random", "edges:100000:100000"),
+    ],
+)
+def test_boundary_errors_exit_cleanly(argv):
+    """Bad arguments print one error line and exit 1, with no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(matchcount.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchcount.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_exact_out_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from matchcount import ParseError
 from matchcount.ensembles import (
+    MAX_SAMPLE_CELLS,
     EnsembleKind,
     EnsembleSpec,
     enumerate_ensemble,
@@ -163,6 +164,20 @@ def test_enumeration_caps():
     spec = EnsembleSpec(EnsembleKind.EXACT_ONES, 30, 12)
     with pytest.raises(CapacityError):
         list(enumerate_ensemble(spec))
+
+
+class NoDraws:
+    def randbelow(self, bound):
+        raise AssertionError("sampling drew before checking the cell cap")
+
+
+def test_sampling_cap_applies_before_any_draw():
+    for text in ("edges:100000:100000", f"bernoulli:{MAX_SAMPLE_CELLS + 1}:1:1/2"):
+        with pytest.raises(CapacityError):
+            sample_matrix(EnsembleSpec.parse(text), NoDraws())
+    sparse = sample_matrix(EnsembleSpec.parse("edges:200:200"), RandomStream(1, 0))
+    assert (sparse.rows, sparse.cols) == (200, 200)
+    assert sparse.one_count() == 200
 
 
 def test_spec_validation():

@@ -4,11 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble
 from matchcount.errors import CapacityError, UndefinedRatioError
 from matchcount.estimators import Method
 from matchcount.exact import (
+    _sweep,
     amm_trial_second_moment,
     count_all_matchings,
     count_matchings_via_permanent,
@@ -132,14 +135,27 @@ def test_critical_ratio_at_least_one():
 
 
 def test_capacity_limits():
-    with pytest.raises(CapacityError):
-        count_all_matchings(ZeroOneMatrix.zeros(1, 25))
+    """Sweep caps bound the widest connected component, not the matrix shape."""
+    with pytest.raises(CapacityError, match="got one of 25"):
+        count_all_matchings(ZeroOneMatrix.ones(25, 25))
+    with pytest.raises(CapacityError, match="got one of 25"):
+        matching_profile(ZeroOneMatrix.ones(25, 25))
+    # the moments never transpose, so 25 columns in one component are too many
+    with pytest.raises(CapacityError, match="got one of 25"):
+        amm_trial_second_moment(ZeroOneMatrix.ones(1, 25))
+    with pytest.raises(CapacityError, match="got one of 25"):
+        rm_trial_second_moment(ZeroOneMatrix.ones(25, 25))
     with pytest.raises(CapacityError):
         permanent_ryser(ZeroOneMatrix.zeros(21, 21))
     with pytest.raises(CapacityError):
         count_matchings_via_permanent(ZeroOneMatrix.zeros(11, 11))
+    # a zero matrix has no component; a single row is one row wide
+    assert count_all_matchings(ZeroOneMatrix.zeros(1, 25)) == 1
+    assert count_all_matchings(ZeroOneMatrix.ones(1, 30)) == 31
+    assert matching_profile(ZeroOneMatrix.ones(30, 1)) == [1, 30]
     # right at the cap is fine
     assert count_all_matchings(ZeroOneMatrix.zeros(1, 24)) == 1
+    assert amm_trial_second_moment(ZeroOneMatrix.ones(1, 24)) == 25**2
 
 
 def test_tall_matrix_has_no_recursion_limit():
@@ -165,3 +181,149 @@ def test_wide_matrix_stays_fast():
     rows = [[1 if j in (i, i + 1) else 0 for j in range(24)] for i in range(12)]
     a = ZeroOneMatrix.from_rows(rows)
     assert count_all_matchings(a) == brute_force_matching_count(a)
+
+
+def whole_sweep(a, skip=True, weighted=False):
+    """Last layer of one sweep over the whole matrix, rows as given."""
+    return _sweep(a.row_masks, skip, weighted)
+
+
+def whole_profile(a):
+    counts = [0] * (a.cols + 1)
+    for used, value in whole_sweep(a).items():
+        counts[used.bit_count()] += value
+    return counts
+
+
+def polymul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def block_union(a, b, interleave):
+    """[[a, 0], [0, b]], with the rows of a and b alternating if interleave."""
+    top = list(a.row_masks)
+    bottom = [mask << a.cols for mask in b.row_masks]
+    if interleave:
+        rows = []
+        for k in range(max(a.rows, b.rows)):
+            rows += top[k:k + 1] + bottom[k:k + 1]
+    else:
+        rows = top + bottom
+    return ZeroOneMatrix(a.rows + b.rows, a.cols + b.cols, tuple(rows))
+
+
+def insert_zero_line(a, i, j):
+    """a with a zero row inserted before row i and a zero column before column j."""
+    low = (1 << j) - 1
+    masks = [(mask & low) | ((mask & ~low) << 1) for mask in a.row_masks]
+    masks.insert(i, 0)
+    return ZeroOneMatrix(a.rows + 1, a.cols + 1, tuple(masks))
+
+
+# Same examples on every run, so tier-1 stays deterministic and fast.
+DETERMINISTIC = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+
+
+@st.composite
+def matrices(draw, max_side=3, square=False):
+    m = draw(st.integers(0, max_side))
+    n = m if square else draw(st.integers(0, max_side))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    return ZeroOneMatrix(m, n, tuple(masks))
+
+
+@DETERMINISTIC
+@given(matrices(), matrices(), st.booleans())
+def test_block_union_factorises(a, b, interleave):
+    """Count and amm moment multiply over a block-diagonal union; profiles convolve."""
+    u = block_union(a, b, interleave)
+    assert count_all_matchings(u) == count_all_matchings(a) * count_all_matchings(b)
+    assert matching_profile(u) == polymul(matching_profile(a), matching_profile(b))
+    assert amm_trial_second_moment(u) == (
+        amm_trial_second_moment(a) * amm_trial_second_moment(b)
+    )
+
+
+@DETERMINISTIC
+@given(matrices(square=True), matrices(square=True), st.booleans())
+def test_block_union_rm_moment_factorises(a, b, interleave):
+    u = block_union(a, b, interleave)
+    assert rm_trial_second_moment(u) == (
+        rm_trial_second_moment(a) * rm_trial_second_moment(b)
+    )
+
+
+def test_interleaved_rows_keep_input_order():
+    """The moments walk rows in input order, so interleaving must not reorder them.
+
+    The blocks are chosen so that reversing either block's rows changes its
+    amm moment; the interleaved union still gives the product in input order.
+    """
+    a = ZeroOneMatrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 0, 1]])
+    b = ZeroOneMatrix.from_rows([[1, 0], [1, 1]])
+    flipped = ZeroOneMatrix(a.rows, a.cols, a.row_masks[::-1])
+    assert amm_trial_second_moment(a) != amm_trial_second_moment(flipped)
+    u = block_union(a, b, interleave=True)
+    assert u.row_masks[:2] == (a.row_masks[0], b.row_masks[0] << 3)
+    assert amm_trial_second_moment(u) == 318 * amm_trial_second_moment(b)
+    assert sum(whole_sweep(u, True, True).values()) == amm_trial_second_moment(u)
+    square_a = ZeroOneMatrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    square_b = ZeroOneMatrix.from_rows([[1, 1], [0, 1]])
+    v = block_union(square_a, square_b, interleave=True)
+    assert rm_trial_second_moment(v) == (
+        rm_trial_second_moment(square_a) * rm_trial_second_moment(square_b)
+    ) == sum(whole_sweep(v, False, True).values())
+
+
+@DETERMINISTIC
+@given(matrices(square=True), st.data())
+def test_zero_row_and_column(a, data):
+    """A zero line leaves count and amm moment alone and kills every rm trial."""
+    i = data.draw(st.integers(0, a.rows))
+    j = data.draw(st.integers(0, a.cols))
+    z = insert_zero_line(a, i, j)
+    assert count_all_matchings(z) == count_all_matchings(a)
+    assert matching_profile(z) == matching_profile(a) + [0]
+    assert amm_trial_second_moment(z) == amm_trial_second_moment(a)
+    assert rm_trial_second_moment(z) == 0
+
+
+def test_hundred_disjoint_blocks():
+    """100 disjoint 2x2 all-ones blocks: each contributes 1 + 4x + 2x^2."""
+    a = ZeroOneMatrix(200, 200, tuple(0b11 << (2 * (i // 2)) for i in range(200)))
+    assert count_all_matchings(a) == 7**100
+    expect = [1]
+    for _ in range(100):
+        expect = polymul(expect, [1, 4, 2])
+    assert matching_profile(a) == expect
+    assert amm_trial_second_moment(a) == 51**100
+    assert rm_trial_second_moment(a) == 4**100
+
+
+def test_factorised_sweep_matches_whole_sweep_exhaustive():
+    """Every fair-coin matrix with m, n <= 4 and m * n <= 12, all four quantities.
+
+    Count and profile are checked against brute-force enumeration, and all
+    four against one sweep over the whole matrix with no component split.
+    """
+    seen = 0
+    for m in range(5):
+        for n in range(5):
+            if m * n > 12:
+                continue
+            for a in all_matrices(m, n):
+                count, profile = count_all_matchings(a), matching_profile(a)
+                assert count == brute_force_matching_count(a)
+                assert count == sum(whole_sweep(a).values())
+                assert profile == brute_force_matching_profile(a) == whole_profile(a)
+                assert amm_trial_second_moment(a) == sum(whole_sweep(a, True, True).values())
+                if m == n:
+                    assert rm_trial_second_moment(a) == sum(
+                        whole_sweep(a, False, True).values()
+                    )
+                seen += 1
+    assert seen == 9427
