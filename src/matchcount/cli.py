@@ -25,7 +25,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .ensembles import EnsembleSpec, sample_matrix
-from .errors import MatchcountError, CapacityError, UndefinedRatioError
+from .errors import CapacityError, DomainError, MatchcountError, UndefinedRatioError
 from .estimators import Method, run_trials
 from .exact import (
     MAX_TRANSFORM_SIDE,
@@ -222,6 +222,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.workers < 1:
+        raise DomainError(f"workers must be >= 1, got {args.workers}")
     start = time.perf_counter()
     record = ResultRecord("estimate")
     record.params["seed"] = str(args.seed)
@@ -230,7 +232,7 @@ def cmd_estimate(args) -> int:
     record.params["method"] = method.value
     record.params["trials"] = str(args.trials)
     record.params["workers"] = str(args.workers)
-    stats = run_trials(a, method, args.trials, args.seed, workers=args.workers)
+    stats = run_trials(a, method, args.trials, args.seed)
     record.put("mean", stats.mean)
     record.put("second-moment", stats.second_moment)
     record.put("variance", stats.variance)
@@ -400,7 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_matrix_source(p_est)
     p_est.add_argument("--method", choices=tuple(m.value for m in Method), default="amm")
     p_est.add_argument("--trials", type=int, default=1000)
-    p_est.add_argument("--workers", type=int, default=1)
+    p_est.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; trials run on one thread",
+    )
     add_common(p_est)
     p_est.set_defaults(handler=cmd_estimate)
 

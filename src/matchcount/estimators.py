@@ -10,12 +10,12 @@ output is multiplied by |W| (the number of branches):
        column branches.  The trial never dies and the output is always a
        positive integer.  E[output] = total matching count.
 
-Trials are driven by RandomStream (seed, trial index), so a run is a pure
-function of (matrix, method, seed, trial range) no matter how trials are
-chunked across workers.
+Trial t draws from RandomStream(seed, t), and _outputs is the one place that
+builds those streams, so a run is a pure function of (matrix, method, seed,
+trial range) and stats over disjoint ranges merge to the stats of their union.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -86,10 +86,6 @@ class TrialStats:
     total: int
     total_sq: int
 
-    @classmethod
-    def empty(cls) -> "TrialStats":
-        return cls(0, 0, 0)
-
     def __add__(self, other: "TrialStats") -> "TrialStats":
         return TrialStats(
             self.trials + other.trials,
@@ -124,89 +120,84 @@ class TrialStats:
         return self.second_moment / mean**2
 
 
+def _outputs(a: ZeroOneMatrix, method: Method, seed: int, lo: int, hi: int):
+    """Outputs of trials lo .. hi - 1; trial t draws from RandomStream(seed, t)."""
+    trial = rm_trial if method is Method.RM else amm_trial
+    for t in range(lo, hi):
+        yield trial(a, RandomStream(seed, t))
+
+
 def run_trials(
     a: ZeroOneMatrix,
     method: Method,
     trials: int,
     seed: int,
-    workers: int = 1,
     first_trial: int = 0,
 ) -> TrialStats:
     """Run trials first_trial .. first_trial + trials - 1, one stream each.
 
-    Trial t always draws from RandomStream(seed, t), so the result is
-    identical for any worker count and any split; workers > 1 only chunks the
-    range across threads.
+    Trial t always draws from RandomStream(seed, t), so stats of disjoint
+    ranges merged with + equal the stats of one run over their union.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     if method is Method.RM and not a.is_square:
         raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
-    trial = rm_trial if method is Method.RM else amm_trial
-
-    def run_range(bounds: tuple[int, int]) -> TrialStats:
-        lo, hi = bounds
-        total = total_sq = 0
-        for t in range(lo, hi):
-            x = trial(a, RandomStream(seed, t))
-            total += x
-            total_sq += x * x
-        return TrialStats(hi - lo, total, total_sq)
-
-    lo, hi = first_trial, first_trial + trials
-    if workers <= 1:
-        return run_range((lo, hi))
-    step = -(-trials // workers)
-    chunks = [(t, min(t + step, hi)) for t in range(lo, hi, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(run_range, chunks)
-        return sum(parts, TrialStats.empty())
+    total = total_sq = 0
+    for x in _outputs(a, method, seed, first_trial, first_trial + trials):
+        total += x
+        total_sq += x * x
+    return TrialStats(trials, total, total_sq)
 
 
 def outcome_distribution(a: ZeroOneMatrix, method: Method) -> dict[int, Fraction]:
     """Exact distribution of one trial's output, over all coin paths.
 
-    Enumerates the estimator's decision tree with memoization on (row,
-    available columns); probabilities are exact Fractions summing to 1.
+    Walks the estimator's decision tree depth first with an explicit stack,
+    memoized on (row, available columns), so tall inputs do not hit the
+    recursion limit; probabilities are exact Fractions summing to 1.
     Exponential in the worst case, intended for small matrices.
     """
     if method is Method.RM and not a.is_square:
         raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
-    masks = a.row_masks
     m = a.rows
-    memo: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-    def dist(i: int, avail: int) -> dict[int, Fraction]:
-        if i == m:
-            return {1: Fraction(1)}
-        key = (i, avail)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        choices = masks[i] & avail
-        branches = []
-        if method is Method.AMM:
-            branches.append(dist(i + 1, avail))
-        elif choices == 0:
-            memo[key] = {0: Fraction(1)}
-            return memo[key]
-        rest = choices
+    if m == 0:
+        return {1: Fraction(1)}
+    masks = a.row_masks
+    skip = method is Method.AMM
+    full = (1 << a.cols) - 1
+    # memo[i][avail]: distribution of the output of rows i.. given avail
+    memo: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(m)]
+    stack = [(0, full)]
+    while stack:
+        i, avail = stack[-1]
+        if avail in memo[i]:
+            stack.pop()
+            continue
+        # branch order: skip (amm only), then the available columns, low first
+        branches = [avail] if skip else []
+        rest = masks[i] & avail
         while rest:
             bit = rest & -rest
-            branches.append(dist(i + 1, avail ^ bit))
+            branches.append(avail ^ bit)
             rest ^= bit
         q = len(branches)
+        if q == 0 or i + 1 == m:
+            # rm found no column (output 0), or every branch ends the trial
+            memo[i][avail] = {q: Fraction(1)}
+            continue
+        below = memo[i + 1]
+        pending = [(i + 1, child) for child in branches if child not in below]
+        if pending:
+            stack += pending
+            continue
         out: dict[int, Fraction] = {}
         for child in branches:
-            for v, p in child.items():
+            for v, p in below[child].items():
                 key_v = q * v
                 out[key_v] = out.get(key_v, Fraction(0)) + p / q
-        memo[key] = out
-        return out
-
-    return dist(0, (1 << a.cols) - 1)
+        memo[i][avail] = out
+    return memo[0][full]
 
 
 @dataclass(frozen=True)
@@ -261,32 +252,23 @@ def transformed_equivalence_check(
         mean = sum((v * p for v, p in amm_dist.items()), Fraction(0))
         return EquivalenceReport(n, True, True, 0, None, mean, mean)
 
-    amm_counts: dict[int, int] = {}
-    rm_counts: dict[int, int] = {}
-    amm_total = rm_total = 0
-    for t in range(trials):
-        x = amm_trial(a, RandomStream(seed, t))
-        amm_counts[x] = amm_counts.get(x, 0) + 1
-        amm_total += x
-        y = rm_trial(b, RandomStream(seed, trials + t))
+    # amm draws streams 0 .. trials - 1, rm streams trials .. 2 * trials - 1
+    amm_counts = Counter(_outputs(a, Method.AMM, seed, 0, trials))
+    rm_counts: Counter[int] = Counter()
+    for y in _outputs(b, Method.RM, seed, trials, 2 * trials):
         if y % nfact != 0:
             raise EquivalenceViolationError(
                 f"rm output {y} on the transformed matrix is not divisible by {n}!"
             )
-        z = y // nfact
-        rm_counts[z] = rm_counts.get(z, 0) + 1
-        rm_total += z
-    support = set(amm_counts) | set(rm_counts)
-    tv = (
-        sum(abs(amm_counts.get(v, 0) - rm_counts.get(v, 0)) for v in support)
-        * Fraction(1, 2 * trials)
-    )
+        rm_counts[y // nfact] += 1
+    support = amm_counts.keys() | rm_counts.keys()
+    tv = Fraction(sum(abs(amm_counts[v] - rm_counts[v]) for v in support), 2 * trials)
     return EquivalenceReport(
         n,
         False,
         tv <= tv_tolerance,
         trials,
         tv,
-        Fraction(amm_total, trials),
-        Fraction(rm_total, trials),
+        Fraction(sum(v * c for v, c in amm_counts.items()), trials),
+        Fraction(sum(v * c for v, c in rm_counts.items()), trials),
     )

@@ -54,11 +54,6 @@ MAX_TRANSFORM_SIDE = 10
 MatchingProfile = list[int]
 
 
-def _require_cols(a: ZeroOneMatrix, cap: int, what: str):
-    if a.cols > cap:
-        raise CapacityError(f"{what} supports at most {cap} columns, got {a.cols}")
-
-
 def _sweep(masks, skip: bool, weighted: bool) -> dict[int, int]:
     """Last layer {used columns: weight sum} of the forward row sweep."""
     layer = {0: 1}
@@ -191,7 +186,10 @@ def permanent_ryser(a: ZeroOneMatrix) -> int:
     """
     if not a.is_square:
         raise ShapeError(f"permanent needs a square matrix, got {a.rows}x{a.cols}")
-    _require_cols(a, MAX_RYSER_COLS, "permanent_ryser")
+    if a.cols > MAX_RYSER_COLS:
+        raise CapacityError(
+            f"permanent_ryser supports at most {MAX_RYSER_COLS} columns, got {a.cols}"
+        )
     n = a.rows
     if n == 0:
         return 1

@@ -2,8 +2,8 @@
 
 Every randomized routine draws from a RandomStream identified by (seed,
 stream_id).  Trial t of a run uses stream (seed, t), so results do not depend
-on how trials are ordered or split across workers, and any single trial can
-be replayed in isolation.
+on how a trial range is split into runs, and any single trial can be replayed
+in isolation.
 """
 
 import random

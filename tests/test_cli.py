@@ -178,6 +178,16 @@ def test_estimate_worker_invariance(tmp_path, capsys):
     assert one["values"]["second-moment"] == four["values"]["second-moment"]
 
 
+def test_estimate_readme_example_pins_the_streams(capsys):
+    """The README example's seeded values, with and without --workers."""
+    argv = ("estimate", "--random", "bernoulli:10:10:1/2", "--seed", "4", "--trials", "20000")
+    for extra in ((), ("--workers", "4")):
+        code, record = run_json(capsys, *argv, *extra)
+        assert code == 0
+        assert record["values"]["mean"] == "1003193733/400"
+        assert record["values"]["exact-value"] == "2514288"
+
+
 def test_estimate_reproducible_from_echoed_params(capsys):
     """The JSON record carries everything needed to re-run the command."""
     _, record = run_json(

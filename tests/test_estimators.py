@@ -70,6 +70,12 @@ def test_outcome_distribution_known():
     assert dist == {0: Fraction(1)}
 
 
+def test_outcome_distribution_has_no_recursion_limit():
+    """Thousands of rows, one coin path each: output 1 with probability 1."""
+    assert outcome_distribution(ZeroOneMatrix.identity(2000), Method.RM) == {1: Fraction(1)}
+    assert outcome_distribution(ZeroOneMatrix.zeros(3000, 2), Method.AMM) == {1: Fraction(1)}
+
+
 def test_amm_unbiased_over_all_coin_paths():
     """Exact expectation equals the matching count on every small matrix."""
     for m in range(4):
@@ -98,17 +104,15 @@ def test_trial_stats_merge():
     assert c.mean == Fraction(19, 5)
     assert c.second_moment == Fraction(93, 5)
     assert c.variance == Fraction(93, 5) - Fraction(19, 5) ** 2
-    assert TrialStats.empty() + a == a
+    assert TrialStats(0, 0, 0) + a == a
     with pytest.raises(DomainError):
-        TrialStats.empty().mean
+        TrialStats(0, 0, 0).mean
 
 
-def test_run_trials_deterministic_and_worker_invariant():
+def test_run_trials_deterministic():
     a = ZeroOneMatrix.ones(3, 3)
     base = run_trials(a, Method.AMM, 500, seed=7)
     assert base == run_trials(a, Method.AMM, 500, seed=7)
-    assert base == run_trials(a, Method.AMM, 500, seed=7, workers=4)
-    assert base == run_trials(a, Method.AMM, 500, seed=7, workers=8)
     assert base != run_trials(a, Method.AMM, 500, seed=8)
 
 
@@ -152,7 +156,10 @@ def test_transformed_equivalence_sampled():
     report = transformed_equivalence_check(a, trials=4000, seed=3)
     assert not report.exhaustive
     assert report.match
-    assert report.tv_distance is not None
+    # amm draws streams 0..3999 and rm streams 4000..7999; these values pin them
+    assert report.tv_distance == Fraction(7, 500)
+    assert report.amm_mean == Fraction(72099, 4000)
+    assert report.rm_scaled_mean == Fraction(18087, 1000)
 
 
 def test_transformed_rm_never_dies():
