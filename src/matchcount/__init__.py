@@ -56,7 +56,6 @@ from .matrix import ZeroOneMatrix, build_transformed, read_matrix, write_matrix
 from .moments import (
     MeanBounds,
     MomentStatistic,
-    RecursionCoeffs,
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
@@ -68,9 +67,7 @@ from .moments import (
     majority_tail,
     mean_matchings_bounds,
     meets_power_threshold,
-    partial_derangement,
     second_moment_diag_lower_bound,
-    solve_two_term_recurrence,
     to_decimal,
     two_term_recurrence_closed_form,
 )

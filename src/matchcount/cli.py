@@ -25,10 +25,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .ensembles import EnsembleSpec, sample_matrix
-from .errors import CapacityError, DomainError, MatchcountError, UndefinedRatioError
+from .errors import (
+    CapacityError,
+    DomainError,
+    MatchcountError,
+    ShapeError,
+    UndefinedRatioError,
+)
 from .estimators import Method, run_trials
 from .exact import (
-    MAX_TRANSFORM_SIDE,
     count_all_matchings,
     count_matchings_via_permanent,
     critical_ratio,
@@ -207,15 +212,14 @@ def cmd_exact(args) -> int:
     record.put("count", count)
     record.put("profile", " ".join(str(c) for c in profile), decimal=False)
     code = 0
-    if a.is_square and a.rows <= MAX_TRANSFORM_SIDE:
+    try:
         via = count_matchings_via_permanent(a)
         record.flags["permanent-route-match"] = via == count
         if via != count:
             record.put("permanent-route-count", via)
             code = 1
-    else:
-        reason = "matrix not square" if not a.is_square else f"side above {MAX_TRANSFORM_SIDE}"
-        record.notes.append(f"permanent cross-check skipped: {reason}")
+    except (ShapeError, CapacityError) as exc:
+        record.notes.append(f"permanent cross-check skipped: {exc}")
     record.elapsed_ms = (time.perf_counter() - start) * 1000.0
     _emit(args, _render_record(record, args.format))
     return code

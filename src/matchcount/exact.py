@@ -45,7 +45,7 @@ from .matrix import ZeroOneMatrix, build_transformed
 
 # A component's sweep holds up to 2^width states per layer; width 24 is the
 # point where a dense worst case stops fitting in desk-scale memory.
-MAX_RECURSION_COLS = 24
+MAX_SWEEP_WIDTH = 24
 # Ryser's formula walks all 2^n column subsets.
 MAX_RYSER_COLS = 20
 # The permanent route builds a 2n x 2n matrix for Ryser, so n caps at 10.
@@ -132,10 +132,10 @@ def _split(a: ZeroOneMatrix, what: str, narrow: bool) -> list[tuple[int, list[in
             width, rows = len(rows), _transpose(rows)
         widest = max(widest, width)
         parts.append((width, rows))
-    if widest > MAX_RECURSION_COLS:
+    if widest > MAX_SWEEP_WIDTH:
         side = "rows or columns (narrower side)" if narrow else "columns"
         raise CapacityError(
-            f"{what} supports connected components of at most {MAX_RECURSION_COLS} "
+            f"{what} supports connected components of at most {MAX_SWEEP_WIDTH} "
             f"{side}, got one of {widest}"
         )
     return parts
@@ -153,7 +153,7 @@ def count_all_matchings(a: ZeroOneMatrix) -> int:
     """Total number of matchings of a, the empty matching included.
 
     Always at least 1: the product of the component counts.  Requires every
-    connected component to have at most MAX_RECURSION_COLS rows or columns.
+    connected component to have at most MAX_SWEEP_WIDTH rows or columns.
     """
     total = 1
     for _, masks in _split(a, "count_all_matchings", True):

@@ -6,9 +6,11 @@ second moment of the skip-allowing estimator follow a two-term recurrence
     f(m, l) = a(l) * f(m-1, l) + c(l) * f(m-1, l-1),    f(0, l) = 1
 
 whose coefficient pair (a, c) is (1, l/2) for the mean of the matching count
-and ((l+2)/2, (l^2+3l)/4) for the estimator's second moment.  For n x n
-matrices with exactly m ones, mean and second moment of the matching count
-come from inclusion-exclusion over pairs of fixed matchings.
+and ((l+2)/2, (l^2+3l)/4) for the estimator's second moment.  The mean has a
+direct sum; the second moment runs the recurrence scaled by 4^m, which
+clears its denominators so the loop stays in int.  For n x n matrices with
+exactly m ones, mean and second moment of the matching count come from
+inclusion-exclusion over one and two fixed matchings.
 
 Everything returns Fraction (or int); decimal strings are rendering only.
 """
@@ -18,12 +20,11 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, factorial, isqrt
-from math import perm as _math_perm
+from math import ceil, comb, factorial, isqrt, perm
 from typing import Callable
 
 from .ensembles import EnsembleSpec, enumerate_ensemble, matrix_probability
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .exact import amm_trial_second_moment, count_all_matchings
 from .matrix import ZeroOneMatrix
 
@@ -31,6 +32,10 @@ DEFAULT_DIGITS = 12
 
 # Largest epsilon the majority-tail bound accepts.
 MAX_EPS = Fraction(1, 50)
+
+# meets_power_threshold refuses a comparison whose integers would exceed
+# this many bits (2^22 bits is 512 KiB per integer).
+MAX_THRESHOLD_BITS = 1 << 22
 
 
 def to_decimal(value, digits: int = DEFAULT_DIGITS) -> str:
@@ -43,47 +48,8 @@ def to_decimal(value, digits: int = DEFAULT_DIGITS) -> str:
         return str(Decimal(frac.numerator) / Decimal(frac.denominator))
 
 
-def _comb(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def _perm(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _math_perm(n, k)
-
-
 # ---------------------------------------------------------------------------
-# The two-term recurrence and its closed form.
-
-
-@dataclass(frozen=True)
-class RecursionCoeffs:
-    """Coefficient pair (a, c) of the recurrence, each a function of l."""
-
-    a: Callable[[int], Fraction]
-    c: Callable[[int], Fraction]
-
-
-MEAN_COEFFS = RecursionCoeffs(lambda l: Fraction(1), lambda l: Fraction(l, 2))
-SECOND_MOMENT_COEFFS = RecursionCoeffs(
-    lambda l: Fraction(l + 2, 2), lambda l: Fraction(l * l + 3 * l, 4)
-)
-
-
-def solve_two_term_recurrence(m: int, n: int, coeffs: RecursionCoeffs) -> Fraction:
-    """f(m, n) by dynamic programming over (rows done, l); needs 0 <= m <= n."""
-    if not 0 <= m <= n:
-        raise DomainError(f"recurrence needs 0 <= m <= n, got m={m}, n={n}")
-    row = {l: Fraction(1) for l in range(n - m, n + 1)}
-    for i in range(1, m + 1):
-        row = {
-            l: coeffs.a(l) * row[l] + coeffs.c(l) * row[l - 1]
-            for l in range(n - m + i, n + 1)
-        }
-    return row[n]
+# Closed forms of the two-term recurrence, for cross-checks.
 
 
 def _weak_compositions(total: int, parts: int):
@@ -102,8 +68,11 @@ def _weak_compositions(total: int, parts: int):
         yield tuple(comp)
 
 
-def two_term_recurrence_closed_form(m: int, n: int, coeffs: RecursionCoeffs) -> Fraction:
-    """f(m, n) summed over explicit compositions; exponential, for cross-checks.
+def two_term_recurrence_closed_form(
+    m: int, n: int, a: Callable[[int], Fraction], c: Callable[[int], Fraction]
+) -> Fraction:
+    """f(m, n) of the recurrence with coefficients a(l), c(l), summed over
+    explicit compositions; exponential, for cross-checks.
 
     f(m, n) = sum over k = 0..m of c(n)*...*c(n-k+1) times the sum over
     compositions s_0+...+s_k = m-k of a(n)^s_0 * ... * a(n-k)^s_k.
@@ -114,8 +83,8 @@ def two_term_recurrence_closed_form(m: int, n: int, coeffs: RecursionCoeffs) -> 
     c_product = Fraction(1)
     for k in range(m + 1):
         if k > 0:
-            c_product *= coeffs.c(n - k + 1)
-        a_values = [coeffs.a(n - t) for t in range(k + 1)]
+            c_product *= c(n - k + 1)
+        a_values = [a(n - t) for t in range(k + 1)]
         inner = Fraction(0)
         for comp in _weak_compositions(m - k, k + 1):
             term = Fraction(1)
@@ -145,7 +114,7 @@ def bernoulli_mean_matchings(m: int, n: int) -> Fraction:
     if not 0 <= m <= n:
         raise DomainError(f"needs 0 <= m <= n, got m={m}, n={n}")
     return sum(
-        (Fraction(comb(m, k) * _perm(n, k), 2**k) for k in range(m + 1)),
+        (Fraction(comb(m, k) * perm(n, k), 2**k) for k in range(m + 1)),
         Fraction(0),
     )
 
@@ -153,9 +122,19 @@ def bernoulli_mean_matchings(m: int, n: int) -> Fraction:
 def bernoulli_second_moment(m: int, n: int) -> Fraction:
     """Mean over m x n fair-coin matrices of the estimator's exact E[X^2].
 
-    Production path: the two-term recurrence with SECOND_MOMENT_COEFFS.
+    g(i, l) = 4^i f(i, l) for the second-moment coefficients satisfies
+    g(i, l) = 2(l+2) g(i-1, l) + (l^2+3l) g(i-1, l-1) with g(0, l) = 1;
+    row[t] holds g(i, n-m+t) after i rows, for t >= i.  The result is
+    g(m, n) / 4^m.
     """
-    return solve_two_term_recurrence(m, n, SECOND_MOMENT_COEFFS)
+    if not 0 <= m <= n:
+        raise DomainError(f"needs 0 <= m <= n, got m={m}, n={n}")
+    row = [1] * (m + 1)
+    for i in range(1, m + 1):
+        for t in range(m, i - 1, -1):  # top down, so row[t - 1] is still g(i-1, .)
+            l = n - m + t
+            row[t] = 2 * (l + 2) * row[t] + (l * l + 3 * l) * row[t - 1]
+    return Fraction(row[m], 4**m)
 
 
 def bernoulli_second_moment_closed_form(m: int, n: int) -> Fraction:
@@ -166,7 +145,7 @@ def bernoulli_second_moment_closed_form(m: int, n: int) -> Fraction:
         raise DomainError(f"needs 0 <= m <= n, got m={m}, n={n}")
     total = Fraction(0)
     for k in range(m + 1):
-        coef = _perm(n, k) * _perm(n + 3, k)
+        coef = perm(n, k) * perm(n + 3, k)
         if coef == 0:
             continue
         xs = [n + 2 - t for t in range(k + 1)]
@@ -249,11 +228,13 @@ def meets_power_threshold(value: Fraction, n: int) -> bool:
     """Decide value >= n ** (sqrt(n)/2) exactly, no floating point.
 
     Squaring reduces the question to value^2 >= n^sqrt(n).  For square n the
-    exponent is an integer and the comparison is direct.  Otherwise sqrt(n)
-    is bracketed by p/q <= sqrt(n) < (p+1)/q with p = isqrt(n q^2), which
-    turns each side into an integer power comparison; q doubles until the
-    bracket separates value^2 from n^sqrt(n), which must happen because a
-    rational can never equal n^sqrt(n) for non-square n.
+    exponent is an integer and the comparison is direct.  Otherwise the
+    continued-fraction convergents p/q of sqrt(n) fall alternately below and
+    above it and bracket it ever more tightly; each turns one side into an
+    integer power comparison (value^2)^q against n^p.  value^2 is rational and
+    n^sqrt(n) is not, so some bracket separates them, but the q needed grows
+    as value^2 nears the threshold: past MAX_THRESHOLD_BITS bits per compared
+    integer the question is refused with CapacityError.
     """
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
@@ -266,16 +247,27 @@ def meets_power_threshold(value: Fraction, n: int) -> bool:
     if root * root == n:
         return squared >= Fraction(n) ** root
     num, den = squared.numerator, squared.denominator
-    q = 1
-    while q <= 1 << 20:
-        p = isqrt(n * q * q)
-        # squared >= n^((p+1)/q) implies True; squared < n^(p/q) implies False
-        if num**q >= n ** (p + 1) * den**q:
-            return True
-        if num**q < n**p * den**q:
+    # convergents p/q of sqrt(n) = [root; term, term, ...]; the terms come
+    # from the integer recurrence for the continued fraction of a square root
+    p_prev, q_prev, p, q = 1, 0, root, 1
+    step, divisor, term = 0, 1, root
+    below = True
+    while True:
+        bits = q * max(num.bit_length(), den.bit_length()) + p * n.bit_length()
+        if bits > MAX_THRESHOLD_BITS:
+            raise CapacityError(
+                f"deciding {value} against n^(sqrt(n)/2) for n={n} needs integers "
+                f"above {MAX_THRESHOLD_BITS} bits"
+            )
+        if below and num**q < n**p * den**q:  # value^2 < n^(p/q) < n^sqrt(n)
             return False
-        q *= 2
-    raise RuntimeError(f"threshold bracket for n={n} did not separate")  # pragma: no cover
+        if not below and num**q >= n**p * den**q:  # value^2 >= n^(p/q) > n^sqrt(n)
+            return True
+        step = divisor * term - step
+        divisor = (n - step * step) // divisor
+        term = (root + step) // divisor
+        p_prev, q_prev, p, q = p, q, term * p + p_prev, term * q + q_prev
+        below = not below
 
 
 def majority_tail(n: int, eps: Fraction) -> Fraction:
@@ -299,27 +291,12 @@ def majority_tail(n: int, eps: Fraction) -> Fraction:
 # Uniform n x n matrices with exactly m ones.
 
 
-def partial_derangement(n: int, p: int) -> int:
-    """Number of injections from p fixed sources into n slots with no source i
-    landing in slot i: sum over r of (-1)^r C(p, r) P(n-r, p-r).
-
-    At p = n this is the derangement number of n.  Zero when p > n; the empty
-    injection gives 1 at p = 0.
-    """
-    if n < 0 or p < 0:
-        raise DomainError(f"needs n, p >= 0, got n={n}, p={p}")
-    if p > n:
-        return 0
-    return sum((-1) ** r * comb(p, r) * _perm(n - r, p - r) for r in range(p + 1))
-
-
 def containment_probability(n: int, m: int, k: int) -> Fraction:
     """Probability that k fixed cells all lie inside a uniform n x n matrix
     with exactly m ones: C(n^2 - k, m - k) / C(n^2, m).
 
-    Zero when k > m (m ones cannot cover more than m cells).  k may exceed n:
-    the second-moment decomposition applies this to unions of two matchings,
-    which have up to 2n cells.
+    Zero when k > m (m ones cannot cover more than m cells).  k may exceed n,
+    as for the union of two matchings (up to 2n cells).
     """
     if n < 0 or k < 0:
         raise DomainError(f"needs n, k >= 0, got n={n}, k={k}")
@@ -327,7 +304,7 @@ def containment_probability(n: int, m: int, k: int) -> Fraction:
         raise DomainError(f"needs 0 <= m <= n^2, got m={m}, n={n}")
     if k > m:
         return Fraction(0)
-    return Fraction(_comb(n * n - k, m - k), comb(n * n, m))
+    return Fraction(comb(n * n - k, m - k), comb(n * n, m))
 
 
 def edge_count_mean_matchings(n: int, m: int) -> Fraction:
@@ -342,45 +319,41 @@ def edge_count_mean_matchings(n: int, m: int) -> Fraction:
     )
 
 
+def _avoiding_matchings(big: int, fixed: int, size: int) -> int:
+    """Number of size-edge matchings of K_{big,big} that use none of `fixed`
+    given disjoint edges: sum over r of (-1)^r C(fixed, r) C(big-r, size-r)^2 (size-r)!."""
+    return sum(
+        (-1) ** r * comb(fixed, r) * comb(big - r, size - r) ** 2 * factorial(size - r)
+        for r in range(min(fixed, size) + 1)
+    )
+
+
 def edge_count_second_moment(n: int, m: int) -> Fraction:
     """Second moment of the matching count of a uniform n x n matrix with m ones.
 
-    Inclusion-exclusion over ordered pairs of matchings (sizes k and i); the
-    second matching is decomposed by how it reuses the first one's rows and
-    columns.  The two sums cover i <= k and i < k, which together count the
-    ordered pairs once each.  All out-of-range binomials, falling factorials
-    and diagonal-avoiding rook counts are zero by convention, which is what
-    truncates impossible configurations.
+    E[X^2] sums, over ordered pairs (M1, M2) of matchings of K_{n,n}, the
+    probability that both lie inside the matrix, which depends only on the
+    size of their union.  M1 has k edges (C(n, k)^2 k! choices), M2 shares j
+    of them (C(k, j)) and adds s edges on the n-j rows and columns those j
+    leave free, avoiding M1's other k-j edges; the union has k+s cells, all
+    present with count C(n^2-k-s, m-k-s) out of C(n^2, m).
     """
     if n < 0:
         raise DomainError(f"needs n >= 0, got {n}")
     if not 0 <= m <= n * n:
         raise DomainError(f"needs 0 <= m <= n^2, got m={m}, n={n}")
-    total = Fraction(0)
-    for k in range(n + 1):
-        base = comb(n, k) ** 2 * factorial(k)
-        if base == 0:
-            continue
-        for i_top in (k, k - 1):
-            for i in range(i_top + 1):
-                inner = Fraction(0)
-                for p in range(min(i, n - k) + 1):
-                    weight = comb(n - k, p) * comb(k, i - p) * _perm(n - i + p, p)
-                    if weight == 0:
-                        continue
-                    jsum = Fraction(0)
-                    for j in range(i - p + 1):
-                        f = partial_derangement(n - j, i - p - j)
-                        if f == 0:
-                            continue
-                        jsum += (
-                            comb(i - p, j)
-                            * f
-                            * containment_probability(n, m, k + i - j)
-                        )
-                    inner += weight * jsum
-                total += base * inner
-    return total
+    total = 0
+    for k in range(min(n, m) + 1):
+        first = comb(n, k) ** 2 * factorial(k)
+        for j in range(k + 1):
+            shared = first * comb(k, j)
+            for s in range(min(n - j, m - k) + 1):
+                total += (
+                    shared
+                    * _avoiding_matchings(n - j, k - j, s)
+                    * comb(n * n - k - s, m - k - s)
+                )
+    return Fraction(total, comb(n * n, m))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ def test_exact_skips_cross_check_when_not_square(capsys):
     assert any("cross-check skipped" in note for note in record["notes"])
 
 
+def test_exact_skips_cross_check_above_permanent_cap(capsys):
+    code, record = run_json(capsys, "exact", "--random", "bernoulli:11:11:1/2", "--seed", "0")
+    assert code == 0
+    assert "permanent-route-match" not in record["flags"]
+    assert any(
+        "cross-check skipped" in note and "n <= 10" in note for note in record["notes"]
+    )
+
+
 def test_exact_rejects_missing_file(capsys):
     code, out, err = run_cli(capsys, "exact", "--input", "/no/such/file.txt")
     assert code == 1
@@ -127,6 +136,7 @@ def test_exact_rejects_wide_component(tmp_path, capsys):
         ("estimate", "--random", "bernoulli:2:2:1/2", "--workers", "0"),
         ("estimate", "--random", "bernoulli:2:2:1/2", "--workers", "-3"),
         ("exact", "--random", "edges:100000:100000"),
+        ("moments", "thm4", "--n", "2", "--m", "3"),
     ],
 )
 def test_boundary_errors_exit_cleanly(argv):

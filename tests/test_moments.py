@@ -6,12 +6,9 @@ from math import comb, factorial, isqrt
 import pytest
 
 from matchcount.ensembles import EnsembleKind, EnsembleSpec
-from matchcount.errors import DomainError
+from matchcount.errors import CapacityError, DomainError
 from matchcount.moments import (
-    MEAN_COEFFS,
-    SECOND_MOMENT_COEFFS,
     MomentStatistic,
-    RecursionCoeffs,
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
@@ -23,9 +20,7 @@ from matchcount.moments import (
     majority_tail,
     mean_matchings_bounds,
     meets_power_threshold,
-    partial_derangement,
     second_moment_diag_lower_bound,
-    solve_two_term_recurrence,
     to_decimal,
     two_term_recurrence_closed_form,
 )
@@ -48,32 +43,45 @@ def test_to_decimal():
         to_decimal(Fraction(1), digits=0)
 
 
+# The paper's coefficient pairs (a, c) of f(m, l) = a(l) f(m-1, l) + c(l) f(m-1, l-1).
+MEAN_A, MEAN_C = (lambda l: Fraction(1)), (lambda l: Fraction(l, 2))
+SECOND_A, SECOND_C = (lambda l: Fraction(l + 2, 2)), (lambda l: Fraction(l * l + 3 * l, 4))
+
+
+def recurrence_dp(m, n, a, c):
+    """f(m, n) of the two-term recurrence, f(0, l) = 1, by plain Fraction DP."""
+    row = {l: Fraction(1) for l in range(n - m, n + 1)}
+    for i in range(1, m + 1):
+        row = {l: a(l) * row[l] + c(l) * row[l - 1] for l in range(n - m + i, n + 1)}
+    return row[n]
+
+
 def test_recurrence_routes_agree():
-    """DP and explicit composition sum give the same value for both
-    coefficient pairs and for random rational coefficients."""
-    for coeffs in (MEAN_COEFFS, SECOND_MOMENT_COEFFS):
-        for n in range(7):
-            for m in range(n + 1):
-                assert solve_two_term_recurrence(m, n, coeffs) == \
-                    two_term_recurrence_closed_form(m, n, coeffs)
+    """The composition sum gives the production values for the paper's two
+    coefficient pairs, and the plain DP's value for random rational ones."""
+    for n in range(7):
+        for m in range(n + 1):
+            assert two_term_recurrence_closed_form(m, n, MEAN_A, MEAN_C) == \
+                bernoulli_mean_matchings(m, n)
+            assert two_term_recurrence_closed_form(m, n, SECOND_A, SECOND_C) == \
+                bernoulli_second_moment(m, n)
     stream = RandomStream(5, 0)
     for _ in range(20):
         a_tab = {l: Fraction(stream.randbelow(9) - 4, 1 + stream.randbelow(5))
                  for l in range(7)}
         c_tab = {l: Fraction(stream.randbelow(9) - 4, 1 + stream.randbelow(5))
                  for l in range(7)}
-        coeffs = RecursionCoeffs(a_tab.__getitem__, c_tab.__getitem__)
         for n in range(6):
             for m in range(n + 1):
-                assert solve_two_term_recurrence(m, n, coeffs) == \
-                    two_term_recurrence_closed_form(m, n, coeffs)
+                assert recurrence_dp(m, n, a_tab.__getitem__, c_tab.__getitem__) == \
+                    two_term_recurrence_closed_form(m, n, a_tab.__getitem__, c_tab.__getitem__)
 
 
 def test_recurrence_domain():
     with pytest.raises(DomainError):
-        solve_two_term_recurrence(3, 2, MEAN_COEFFS)
+        bernoulli_second_moment(3, 2)
     with pytest.raises(DomainError):
-        solve_two_term_recurrence(-1, 2, MEAN_COEFFS)
+        bernoulli_second_moment(-1, 2)
 
 
 def test_bernoulli_mean_known_values():
@@ -86,8 +94,7 @@ def test_bernoulli_mean_known_values():
 def test_bernoulli_mean_equals_recurrence():
     for n in range(9):
         for m in range(n + 1):
-            assert bernoulli_mean_matchings(m, n) == \
-                solve_two_term_recurrence(m, n, MEAN_COEFFS)
+            assert bernoulli_mean_matchings(m, n) == recurrence_dp(m, n, MEAN_A, MEAN_C)
 
 
 def test_bernoulli_mean_matches_oracle():
@@ -115,10 +122,11 @@ def test_bernoulli_second_moment_matches_oracle():
 
 
 def test_bernoulli_second_moment_closed_form_agrees():
-    for n in range(9):
+    for n in range(41):
         for m in range(n + 1):
             assert bernoulli_second_moment(m, n) == \
                 bernoulli_second_moment_closed_form(m, n)
+    assert bernoulli_second_moment(200, 200) == bernoulli_second_moment_closed_form(200, 200)
 
 
 def test_mean_bounds_structure():
@@ -179,6 +187,15 @@ def test_meets_power_threshold_exact():
         meets_power_threshold(Fraction(1), 0)
 
 
+def test_meets_power_threshold_near_threshold():
+    """2^(sqrt(2)/2) = 1.6325269194...: six decimals are decided quickly, and
+    a value 10^-15 away needs integers beyond the cap, so it is refused."""
+    assert meets_power_threshold(Fraction("1.632527"), 2) is True
+    assert meets_power_threshold(Fraction("1.632526"), 2) is False
+    with pytest.raises(CapacityError):
+        meets_power_threshold(Fraction("1.632526919438153"), 2)
+
+
 def test_majority_tail_values():
     assert majority_tail(2, Fraction(1, 50)) == Fraction(5, 16)
     assert majority_tail(1, Fraction(1, 50)) == Fraction(1, 2)
@@ -205,30 +222,6 @@ def test_majority_tail_never_exceeds_half():
         assert all(v <= Fraction(1, 2) for v in values)
         # nonincreasing in eps
         assert all(x >= y for x, y in zip(values, values[1:]))
-
-
-def test_partial_derangement_values():
-    assert partial_derangement(3, 0) == 1
-    assert partial_derangement(3, 1) == 2      # source 0 may go to slot 1 or 2
-    assert partial_derangement(3, 3) == 2      # derangements of 3
-    assert partial_derangement(4, 4) == 9      # derangements of 4
-    assert partial_derangement(2, 3) == 0
-    with pytest.raises(DomainError):
-        partial_derangement(-1, 0)
-
-
-def test_partial_derangement_brute_force():
-    """Count injections f: {0..p-1} -> {0..n-1} with f(i) != i directly."""
-    from itertools import permutations
-
-    for n in range(6):
-        for p in range(n + 2):
-            count = sum(
-                1
-                for cols in permutations(range(n), p)
-                if all(i != c for i, c in enumerate(cols))
-            )
-            assert partial_derangement(n, p) == count
 
 
 def test_containment_probability():
@@ -263,6 +256,31 @@ def test_edge_count_second_moment_known_values():
     assert edge_count_second_moment(2, 1) == 4
     assert edge_count_second_moment(2, 2) == Fraction(34, 3)
     assert edge_count_second_moment(2, 4) == 49
+
+
+def test_avoiding_matchings_brute_force():
+    """s-edge matchings of K_{N,N} that avoid the fixed edges (i, i), i < K."""
+    from itertools import combinations, permutations
+
+    from matchcount.moments import _avoiding_matchings
+
+    for big in range(5):
+        for fixed in range(big + 1):
+            for size in range(big + 1):
+                count = sum(
+                    1
+                    for rows in combinations(range(big), size)
+                    for cols in permutations(range(big), size)
+                    if all(not (r == c < fixed) for r, c in zip(rows, cols))
+                )
+                assert _avoiding_matchings(big, fixed, size) == count
+
+
+def test_edge_count_second_moment_pinned_beyond_the_oracle():
+    """Values of the earlier six-deep pair decomposition, past the oracle's n <= 3."""
+    assert edge_count_second_moment(5, 12) == Fraction(1038405943, 52003)
+    assert edge_count_second_moment(6, 18) == Fraction(3995705846, 6293)
+    assert edge_count_second_moment(7, 30) == Fraction(404294190089749639, 3102647284)
 
 
 def test_edge_count_second_moment_matches_oracle():
