@@ -29,6 +29,7 @@ from .errors import (
     CapacityError,
     DomainError,
     MatchcountError,
+    ParseError,
     ShapeError,
     UndefinedRatioError,
 )
@@ -119,19 +120,14 @@ def _render_record(record: ResultRecord, fmt: str) -> str:
             ("decimal:", record.decimals),
             ("flag:", record.flags),
         ):
-            for key, value in mapping.items():
-                header.append(prefix + key)
-                row.append(str(value).lower() if isinstance(value, bool) else str(value))
+            header += [prefix + key for key in mapping]
+            row += mapping.values()
         header.append("notes")
         row.append("; ".join(record.notes))
         if record.matrix_text is not None:
             header.append("matrix")
             row.append(record.matrix_text)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerow(row)
-        return buf.getvalue()
+        return _render_table(record.command, header, [row], fmt)
     lines = [record.command]
     for key, value in record.params.items():
         lines.append(f"  {key} = {value}")
@@ -177,18 +173,14 @@ def _render_table(command: str, columns: list[str], rows: list[list], fmt: str) 
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load_matrix(args, record: ResultRecord) -> ZeroOneMatrix:
     if args.input is not None:
         with open(args.input, encoding="utf-8") as handle:
-            a = read_matrix(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{args.input} is not UTF-8 text: {exc.reason}") from None
+        a = read_matrix(text)
         record.params["input"] = args.input
     else:
         spec = EnsembleSpec.parse(args.random)
@@ -201,8 +193,7 @@ def _load_matrix(args, record: ResultRecord) -> ZeroOneMatrix:
     return a
 
 
-def cmd_exact(args) -> int:
-    start = time.perf_counter()
+def cmd_exact(args) -> tuple[ResultRecord, int]:
     record = ResultRecord("exact")
     if args.input is None:
         record.params["seed"] = str(args.seed)
@@ -220,15 +211,12 @@ def cmd_exact(args) -> int:
             code = 1
     except (ShapeError, CapacityError) as exc:
         record.notes.append(f"permanent cross-check skipped: {exc}")
-    record.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _emit(args, _render_record(record, args.format))
-    return code
+    return record, code
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[ResultRecord, int]:
     if args.workers < 1:
         raise DomainError(f"workers must be >= 1, got {args.workers}")
-    start = time.perf_counter()
     record = ResultRecord("estimate")
     record.params["seed"] = str(args.seed)
     a = _load_matrix(args, record)
@@ -258,13 +246,15 @@ def cmd_estimate(args) -> int:
             record.notes.append("exact ratio undefined: mean is 0")
     except CapacityError as exc:
         record.notes.append(f"exact side skipped: {exc}")
-    record.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _emit(args, _render_record(record, args.format))
-    return 0
+    return record, 0
 
 
 def _parse_eps(text: str) -> Fraction:
+    """p/q or a plain decimal; an exponent is refused, as "1e-999999999"
+    would build a power of ten of a billion digits."""
     try:
+        if "e" in text.lower():
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise MatchcountError(f"--eps wants a rational like 1/50, got {text!r}") from None
@@ -277,8 +267,7 @@ def _require(args, record: ResultRecord, *names: str):
         record.params[name] = str(getattr(args, name))
 
 
-def cmd_moments(args) -> int:
-    start = time.perf_counter()
+def cmd_moments(args) -> tuple[ResultRecord, int]:
     record = ResultRecord("moments")
     record.params["formula"] = args.formula
     formula = args.formula
@@ -307,8 +296,9 @@ def cmd_moments(args) -> int:
         record.put("mean", mean)
         record.put("second-moment", second)
         record.put("ratio", ratio)
-        record.values["threshold"] = _power_threshold_decimal(args.n)
+        # meets_power_threshold refuses n < 1 before the Decimal power sees 0 ** 0
         record.flags["ratio-ge-threshold"] = meets_power_threshold(ratio, args.n)
+        record.values["threshold"] = _power_threshold_decimal(args.n)
         record.put("lower-bound-diag", second_moment_diag_lower_bound(args.n))
     elif formula == "thm7":
         _require(args, record, "n")
@@ -319,23 +309,20 @@ def cmd_moments(args) -> int:
         _require(args, record, "n", "m")
         fn = edge_count_mean_matchings if formula == "thm8-mean" else edge_count_second_moment
         record.put("value", fn(args.n, args.m))
-    record.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _emit(args, _render_record(record, args.format))
-    return 0
+    return record, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[tuple, int]:
     results = run_suite(args.suite)
     columns = ["check", "status", "ms", "detail"]
     rows = [
         [r.name, "pass" if r.passed else "FAIL", f"{r.elapsed_ms:.1f}", r.detail]
         for r in results
     ]
-    _emit(args, _render_table("verify", columns, rows, args.format))
-    return 0 if all(r.passed for r in results) else 1
+    return ("verify", columns, rows), 0 if all(r.passed for r in results) else 1
 
 
-def cmd_ratio_scan(args) -> int:
+def cmd_ratio_scan(args) -> tuple[tuple, int]:
     try:
         lo, hi = (int(part) for part in args.n_range.split(":"))
     except ValueError:
@@ -372,8 +359,7 @@ def cmd_ratio_scan(args) -> int:
                 str(majority_tail(n, eps)),
             ]
         )
-    _emit(args, _render_table("ratio-scan", columns, rows, args.format))
-    return 0
+    return ("ratio-scan", columns, rows), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,13 +424,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: its handler returns a record or a (command,
+    columns, rows) table plus the exit code; main times the record, renders
+    either by --format and writes it to --out or stdout."""
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.handler(args)
-    except MatchcountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        output, code = args.handler(args)
+        if isinstance(output, ResultRecord):
+            output.elapsed_ms = (time.perf_counter() - start) * 1000.0
+            text = _render_record(output, args.format)
+        else:
+            text = _render_table(*output, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except (MatchcountError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

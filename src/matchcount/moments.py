@@ -284,7 +284,12 @@ def majority_tail(n: int, eps: Fraction) -> Fraction:
         raise DomainError(f"needs 0 < eps <= {MAX_EPS}, got {eps}")
     cells = n * n
     lower = ceil((Fraction(1, 2) + eps) * cells)
-    return Fraction(sum(comb(cells, i) for i in range(lower, cells + 1)), 2**cells)
+    term = comb(cells, lower)  # C(cells, i), stepped exactly to C(cells, i + 1)
+    total = 0
+    for i in range(lower, cells + 1):
+        total += term
+        term = term * (cells - i) // (i + 1)
+    return Fraction(total, 2**cells)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +315,8 @@ def containment_probability(n: int, m: int, k: int) -> Fraction:
 def edge_count_mean_matchings(n: int, m: int) -> Fraction:
     """Mean matching count of a uniform n x n matrix with exactly m ones:
     sum over k of C(n, k)^2 k! times the k-matching containment probability."""
+    if n < 0:
+        raise DomainError(f"needs n >= 0, got {n}")
     return sum(
         (
             comb(n, k) ** 2 * factorial(k) * containment_probability(n, m, k)

@@ -132,11 +132,14 @@ def test_exact_rejects_wide_component(tmp_path, capsys):
     [
         ("moments", "thm7", "--n", "3", "--eps", "abc"),
         ("moments", "thm7", "--n", "3", "--eps", "1/0"),
+        ("moments", "thm7", "--n", "3", "--eps", "1e-99999"),
         ("ratio-scan", "--n-range", "1:3", "--eps", "xyz"),
         ("estimate", "--random", "bernoulli:2:2:1/2", "--workers", "0"),
         ("estimate", "--random", "bernoulli:2:2:1/2", "--workers", "-3"),
         ("exact", "--random", "edges:100000:100000"),
         ("moments", "thm4", "--n", "2", "--m", "3"),
+        ("moments", "thm6", "--n", "0"),
+        ("moments", "thm8-mean", "--n", "-1", "--m", "0"),
     ],
 )
 def test_boundary_errors_exit_cleanly(argv):
@@ -309,7 +312,7 @@ def test_verify_small_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 16  # header + 15 checks
+    assert len(rows) == 15  # header + 14 checks
     assert all(row[1] == "pass" for row in rows[1:])
 
 

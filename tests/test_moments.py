@@ -1,7 +1,7 @@
 """Ensemble moment formulas against the enumeration oracle and each other."""
 
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import ceil, comb, factorial, isqrt
 
 import pytest
 
@@ -204,6 +204,17 @@ def test_majority_tail_values():
     assert majority_tail(3, Fraction(1, 50)) == expected == Fraction(1, 2)
 
 
+def test_majority_tail_matches_the_definition():
+    """The running binomial equals the sum of C(n^2, i) over the tail."""
+    grid = [Fraction(1, 1000), Fraction(1, 200), Fraction(1, 100), Fraction(1, 50)]
+    for n in range(1, 41):
+        cells = n * n
+        for eps in grid:
+            lower = ceil((Fraction(1, 2) + eps) * cells)
+            tail = sum(comb(cells, i) for i in range(lower, cells + 1))
+            assert majority_tail(n, eps) == Fraction(tail, 2**cells), (n, eps)
+
+
 def test_majority_tail_domain():
     with pytest.raises(DomainError):
         majority_tail(0, Fraction(1, 50))
@@ -307,6 +318,8 @@ def test_edge_count_moment_consistency():
 def test_edge_count_domain():
     with pytest.raises(DomainError):
         edge_count_mean_matchings(2, 5)
+    with pytest.raises(DomainError):
+        edge_count_mean_matchings(-1, 0)
     with pytest.raises(DomainError):
         edge_count_second_moment(2, -1)
 
