@@ -55,21 +55,18 @@ from .exact import (
 from .matrix import ZeroOneMatrix, build_transformed, read_matrix, write_matrix
 from .moments import (
     MeanBounds,
-    MomentStatistic,
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
     containment_probability,
     edge_count_mean_matchings,
     edge_count_second_moment,
-    ensemble_critical_ratio,
     ensemble_moment_oracle,
     majority_tail,
     mean_matchings_bounds,
     meets_power_threshold,
     second_moment_diag_lower_bound,
     to_decimal,
-    two_term_recurrence_closed_form,
 )
 from .streams import RandomStream
 

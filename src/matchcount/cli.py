@@ -43,7 +43,7 @@ from .exact import (
 )
 from .matrix import ZeroOneMatrix, read_matrix, write_matrix
 from .moments import (
-    DEFAULT_DIGITS,
+    DECIMAL_DIGITS,
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     edge_count_mean_matchings,
@@ -99,13 +99,21 @@ class ResultRecord:
         return out
 
 
-def _power_threshold_decimal(n: int, digits: int = DEFAULT_DIGITS) -> str:
-    """n ** (sqrt(n)/2) rendered to `digits` significant digits."""
+def _thm6_row(n: int) -> tuple:
+    """thm6 at n: mean, second moment, ratio, whether the ratio meets
+    n^(sqrt(n)/2), that threshold to DECIMAL_DIGITS digits, and the diagonal
+    lower bound.  The threshold is decided before it is rendered, so n < 1 is
+    refused before the Decimal power meets 0 ** 0."""
+    mean = bernoulli_mean_matchings(n, n)
+    second = bernoulli_second_moment(n, n)
+    ratio = second / mean**2
+    meets = meets_power_threshold(ratio, n)
     with localcontext() as ctx:
-        ctx.prec = digits + 8
-        value = Decimal(n) ** (Decimal(n).sqrt() / 2)
-        ctx.prec = digits
-        return str(+value)
+        ctx.prec = DECIMAL_DIGITS + 8
+        threshold = Decimal(n) ** (Decimal(n).sqrt() / 2)
+        ctx.prec = DECIMAL_DIGITS
+        threshold = str(+threshold)
+    return mean, second, ratio, meets, threshold, second_moment_diag_lower_bound(n)
 
 
 def _render_record(record: ResultRecord, fmt: str) -> str:
@@ -290,16 +298,13 @@ def cmd_moments(args) -> tuple[ResultRecord, int]:
         record.flags["mean-le-n-peak"] = bounds.mean_le_n_peak
     elif formula == "thm6":
         _require(args, record, "n")
-        mean = bernoulli_mean_matchings(args.n, args.n)
-        second = bernoulli_second_moment(args.n, args.n)
-        ratio = second / mean**2
+        mean, second, ratio, meets, threshold, diag = _thm6_row(args.n)
         record.put("mean", mean)
         record.put("second-moment", second)
         record.put("ratio", ratio)
-        # meets_power_threshold refuses n < 1 before the Decimal power sees 0 ** 0
-        record.flags["ratio-ge-threshold"] = meets_power_threshold(ratio, args.n)
-        record.values["threshold"] = _power_threshold_decimal(args.n)
-        record.put("lower-bound-diag", second_moment_diag_lower_bound(args.n))
+        record.flags["ratio-ge-threshold"] = meets
+        record.values["threshold"] = threshold
+        record.put("lower-bound-diag", diag)
     elif formula == "thm7":
         _require(args, record, "n")
         eps = _parse_eps(args.eps)
@@ -343,22 +348,9 @@ def cmd_ratio_scan(args) -> tuple[tuple, int]:
     ]
     rows = []
     for n in range(lo, hi + 1):
-        mean = bernoulli_mean_matchings(n, n)
-        second = bernoulli_second_moment(n, n)
-        ratio = second / mean**2
-        rows.append(
-            [
-                n,
-                str(mean),
-                str(second),
-                str(ratio),
-                to_decimal(ratio),
-                _power_threshold_decimal(n),
-                meets_power_threshold(ratio, n),
-                str(second_moment_diag_lower_bound(n)),
-                str(majority_tail(n, eps)),
-            ]
-        )
+        mean, second, ratio, meets, threshold, diag = _thm6_row(n)
+        tail = majority_tail(n, eps)
+        rows.append([n, mean, second, ratio, to_decimal(ratio), threshold, meets, diag, tail])
     return ("ratio-scan", columns, rows), 0
 
 
@@ -428,6 +420,11 @@ def main(argv=None) -> int:
     columns, rows) table plus the exit code; main times the record, renders
     either by --format and writes it to --out or stdout."""
     args = build_parser().parse_args(argv)
+    # Exact values run past Python's 4300-digit int <-> str limit (3.10.7+),
+    # so main lifts it until it returns; read_matrix bounds its header first.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     start = time.perf_counter()
     try:
         output, code = args.handler(args)
@@ -445,6 +442,9 @@ def main(argv=None) -> int:
     except (MatchcountError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ from .matrix import ZeroOneMatrix, build_transformed
 from .streams import RandomStream
 
 
+# Largest total variation distance of a sampled equivalence check that still matches.
+TV_TOLERANCE = Fraction(1, 20)
+
+
 class Method(str, Enum):
     RM = "rm"
     AMM = "amm"
@@ -214,10 +218,7 @@ class EquivalenceReport:
 
 
 def transformed_equivalence_check(
-    a: ZeroOneMatrix,
-    trials: int = 10000,
-    seed: int = 0,
-    tv_tolerance: Fraction = Fraction(1, 20),
+    a: ZeroOneMatrix, trials: int = 10000, seed: int = 0
 ) -> EquivalenceReport:
     """Check that rm on the transformed matrix, divided by n!, behaves like amm on a.
 
@@ -226,8 +227,8 @@ def transformed_equivalence_check(
     rm there never returns 0 and its output is always divisible by n!.  For
     n <= 2 the two outcome distributions are compared exhaustively and any
     mismatch raises EquivalenceViolationError.  For larger n the comparison
-    is two-sample: `trials` draws of each, matched on total variation
-    distance of the empirical distributions.
+    is two-sample: `trials` draws of each, matched when the total variation
+    distance of the empirical distributions is at most TV_TOLERANCE.
     """
     if not a.is_square:
         raise ShapeError(f"equivalence check needs a square matrix, got {a.rows}x{a.cols}")
@@ -235,38 +236,35 @@ def transformed_equivalence_check(
     b = build_transformed(a)
     nfact = factorial(n)
 
+    def scaled(y: int) -> int:
+        if y % nfact != 0:
+            raise EquivalenceViolationError(
+                f"rm output {y} on the transformed matrix is not divisible by {n}!"
+            )
+        return y // nfact
+
     if n <= 2:
         amm_dist = outcome_distribution(a, Method.AMM)
-        rm_dist = outcome_distribution(b, Method.RM)
-        scaled: dict[int, Fraction] = {}
-        for y, p in rm_dist.items():
-            if y % nfact != 0:
-                raise EquivalenceViolationError(
-                    f"rm output {y} on the transformed matrix is not divisible by {n}!"
-                )
-            scaled[y // nfact] = scaled.get(y // nfact, Fraction(0)) + p
-        if scaled != amm_dist:
+        scaled_dist: dict[int, Fraction] = {}
+        for y, p in outcome_distribution(b, Method.RM).items():
+            key = scaled(y)
+            scaled_dist[key] = scaled_dist.get(key, Fraction(0)) + p
+        if scaled_dist != amm_dist:
             raise EquivalenceViolationError(
-                f"distributions differ: amm {amm_dist}, scaled rm {scaled}"
+                f"distributions differ: amm {amm_dist}, scaled rm {scaled_dist}"
             )
         mean = sum((v * p for v, p in amm_dist.items()), Fraction(0))
         return EquivalenceReport(n, True, True, 0, None, mean, mean)
 
     # amm draws streams 0 .. trials - 1, rm streams trials .. 2 * trials - 1
     amm_counts = Counter(_outputs(a, Method.AMM, seed, 0, trials))
-    rm_counts: Counter[int] = Counter()
-    for y in _outputs(b, Method.RM, seed, trials, 2 * trials):
-        if y % nfact != 0:
-            raise EquivalenceViolationError(
-                f"rm output {y} on the transformed matrix is not divisible by {n}!"
-            )
-        rm_counts[y // nfact] += 1
+    rm_counts = Counter(map(scaled, _outputs(b, Method.RM, seed, trials, 2 * trials)))
     support = amm_counts.keys() | rm_counts.keys()
     tv = Fraction(sum(abs(amm_counts[v] - rm_counts[v]) for v in support), 2 * trials)
     return EquivalenceReport(
         n,
         False,
-        tv <= tv_tolerance,
+        tv <= TV_TOLERANCE,
         trials,
         tv,
         Fraction(sum(v * c for v, c in amm_counts.items()), trials),

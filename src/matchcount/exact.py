@@ -149,16 +149,22 @@ def _convolve(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
+def _product(a: ZeroOneMatrix, what: str, skip: bool, weighted: bool) -> int:
+    """Product over a's components of their last layer's sum; only the
+    unweighted count is transpose-invariant, so only it sweeps narrow."""
+    total = 1
+    for _, masks in _split(a, what, not weighted):
+        total *= sum(_sweep(masks, skip, weighted).values())
+    return total
+
+
 def count_all_matchings(a: ZeroOneMatrix) -> int:
     """Total number of matchings of a, the empty matching included.
 
     Always at least 1: the product of the component counts.  Requires every
     connected component to have at most MAX_SWEEP_WIDTH rows or columns.
     """
-    total = 1
-    for _, masks in _split(a, "count_all_matchings", True):
-        total *= sum(_sweep(masks, True, False).values())
-    return total
+    return _product(a, "count_all_matchings", True, False)
 
 
 def matching_profile(a: ZeroOneMatrix) -> MatchingProfile:
@@ -238,10 +244,7 @@ def amm_trial_second_moment(a: ZeroOneMatrix) -> int:
     component moments, as a zero row has q = 1 and a row's q depends only on
     earlier rows of its own component.
     """
-    total = 1
-    for _, masks in _split(a, "amm_trial_second_moment", False):
-        total *= sum(_sweep(masks, True, True).values())
-    return total
+    return _product(a, "amm_trial_second_moment", True, True)
 
 
 def rm_trial_second_moment(a: ZeroOneMatrix) -> int:
@@ -255,10 +258,7 @@ def rm_trial_second_moment(a: ZeroOneMatrix) -> int:
         raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
     if 0 in a.row_masks:
         return 0
-    total = 1
-    for _, masks in _split(a, "rm_trial_second_moment", False):
-        total *= sum(_sweep(masks, False, True).values())
-    return total
+    return _product(a, "rm_trial_second_moment", False, True)
 
 
 def critical_ratio(a: ZeroOneMatrix, method: Method) -> Fraction:

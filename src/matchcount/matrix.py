@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ShapeError
 
+# read_matrix refuses a longer header integer before parsing it, so a header
+# never costs more than constant time.
+MAX_HEADER_DIGITS = 18
+
 
 @dataclass(frozen=True)
 class ZeroOneMatrix:
@@ -118,6 +122,8 @@ def read_matrix(text: str) -> ZeroOneMatrix:
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError(f"header must be two integers, got {lines[0]!r}", line=1)
+    if max(map(len, header)) > MAX_HEADER_DIGITS:
+        raise ParseError(f"header integers have at most {MAX_HEADER_DIGITS} digits", line=1)
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:

@@ -17,18 +17,16 @@ Everything returns Fraction (or int); decimal strings are rendering only.
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb, factorial, isqrt, perm
 from typing import Callable
 
 from .ensembles import EnsembleSpec, enumerate_ensemble, matrix_probability
 from .errors import CapacityError, DomainError
-from .exact import amm_trial_second_moment, count_all_matchings
 from .matrix import ZeroOneMatrix
 
-DEFAULT_DIGITS = 12
+# Significant digits of every decimal rendering.
+DECIMAL_DIGITS = 12
 
 # Largest epsilon the majority-tail bound accepts.
 MAX_EPS = Fraction(1, 50)
@@ -38,61 +36,12 @@ MAX_EPS = Fraction(1, 50)
 MAX_THRESHOLD_BITS = 1 << 22
 
 
-def to_decimal(value, digits: int = DEFAULT_DIGITS) -> str:
-    """Render an int or Fraction as a decimal string with `digits` significant digits."""
-    if digits < 1:
-        raise DomainError(f"digits must be >= 1, got {digits}")
+def to_decimal(value) -> str:
+    """Render an int or Fraction as a decimal string with DECIMAL_DIGITS significant digits."""
     frac = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(frac.numerator) / Decimal(frac.denominator))
-
-
-# ---------------------------------------------------------------------------
-# Closed forms of the two-term recurrence, for cross-checks.
-
-
-def _weak_compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total` (stars and bars)."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
-
-
-def two_term_recurrence_closed_form(
-    m: int, n: int, a: Callable[[int], Fraction], c: Callable[[int], Fraction]
-) -> Fraction:
-    """f(m, n) of the recurrence with coefficients a(l), c(l), summed over
-    explicit compositions; exponential, for cross-checks.
-
-    f(m, n) = sum over k = 0..m of c(n)*...*c(n-k+1) times the sum over
-    compositions s_0+...+s_k = m-k of a(n)^s_0 * ... * a(n-k)^s_k.
-    """
-    if not 0 <= m <= n:
-        raise DomainError(f"recurrence needs 0 <= m <= n, got m={m}, n={n}")
-    total = Fraction(0)
-    c_product = Fraction(1)
-    for k in range(m + 1):
-        if k > 0:
-            c_product *= c(n - k + 1)
-        a_values = [a(n - t) for t in range(k + 1)]
-        inner = Fraction(0)
-        for comp in _weak_compositions(m - k, k + 1):
-            term = Fraction(1)
-            for x, s in zip(a_values, comp):
-                term *= x**s
-            inner += term
-        total += c_product * inner
-    return total
 
 
 def _complete_homogeneous(degree: int, xs: list[int]) -> int:
@@ -201,14 +150,6 @@ def mean_matchings_bounds(n: int) -> MeanBounds:
     )
 
 
-def ensemble_critical_ratio(n: int) -> Fraction:
-    """Averaged second moment over the squared averaged mean, n x n fair coin."""
-    if n < 0:
-        raise DomainError(f"needs n >= 0, got {n}")
-    mean = bernoulli_mean_matchings(n, n)
-    return bernoulli_second_moment(n, n) / mean**2
-
-
 def second_moment_diag_lower_bound(n: int) -> Fraction:
     """Closed-form lower bound on the averaged second moment (diagnostic only):
     sum over k of (n!)^2 (n+3)! / 2^(2n) * 2^k (k+2)^k / ((k!)^2 (k+3)! (n-k)!)."""
@@ -255,9 +196,10 @@ def meets_power_threshold(value: Fraction, n: int) -> bool:
     while True:
         bits = q * max(num.bit_length(), den.bit_length()) + p * n.bit_length()
         if bits > MAX_THRESHOLD_BITS:
+            size = max(value.numerator.bit_length(), value.denominator.bit_length())
             raise CapacityError(
-                f"deciding {value} against n^(sqrt(n)/2) for n={n} needs integers "
-                f"above {MAX_THRESHOLD_BITS} bits"
+                f"deciding a {size}-bit value against n^(sqrt(n)/2) for n={n} needs "
+                f"integers above {MAX_THRESHOLD_BITS} bits"
             )
         if below and num**q < n**p * den**q:  # value^2 < n^(p/q) < n^sqrt(n)
             return False
@@ -367,27 +309,15 @@ def edge_count_second_moment(n: int, m: int) -> Fraction:
 # Brute-force moment oracle over any enumerable ensemble.
 
 
-class MomentStatistic(Enum):
-    MEAN_COUNT = "mean-count"
-    MEAN_COUNT_SQUARED = "mean-count-squared"
-    MEAN_TRIAL_SECOND_MOMENT = "mean-trial-second-moment"
-
-
-_STATISTIC_FN: dict[MomentStatistic, Callable[[ZeroOneMatrix], int]] = {
-    MomentStatistic.MEAN_COUNT: count_all_matchings,
-    MomentStatistic.MEAN_COUNT_SQUARED: lambda a: count_all_matchings(a) ** 2,
-    MomentStatistic.MEAN_TRIAL_SECOND_MOMENT: amm_trial_second_moment,
-}
-
-
-def ensemble_moment_oracle(spec: EnsembleSpec, statistic: MomentStatistic) -> Fraction:
-    """Exact ensemble expectation of a per-matrix statistic, by enumeration.
+def ensemble_moment_oracle(
+    spec: EnsembleSpec, statistic: Callable[[ZeroOneMatrix], int]
+) -> Fraction:
+    """Exact ensemble expectation of statistic(a), by enumeration.
 
     Weights each support matrix with its exact probability, so non-uniform
     Bernoulli ensembles are handled too.  Subject to the enumeration caps.
     """
-    fn = _STATISTIC_FN[statistic]
     return sum(
-        (matrix_probability(spec, a) * fn(a) for a in enumerate_ensemble(spec)),
+        (matrix_probability(spec, a) * statistic(a) for a in enumerate_ensemble(spec)),
         Fraction(0),
     )

@@ -3,13 +3,13 @@
 Each check runs a dual route to the same numbers (row sweep vs
 per-matching enumeration, permanent route vs direct count, closed form vs
 ensemble enumeration, coin-path law vs exact count and second moment) and
-fails loudly with the offending matrix serialized in the detail, so a
-corrupted build points straight at a counterexample.
+fails loudly with the offending matrix (or formula grid point) in the
+detail, so a corrupted build points straight at a counterexample.
 
 Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
 "full" adds the 4x4 exhaustive sweep, random 8x8 ratio-bound checks, the
-peak sandwich up to n = 100 and the disjoint-union factorisation of count
-and profile.
+peak sandwich up to n = 100, the disjoint-union factorisation of count and
+profile, and the exact crossover of the ensemble ratio at n = 357.
 
 Production routes and oracles are looked up by module-global name when a
 check runs, so a patched or wrapped function is the one checked.
@@ -39,7 +39,6 @@ from .exact import (
 )
 from .matrix import ZeroOneMatrix, read_matrix, write_matrix
 from .moments import (
-    MomentStatistic,
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
@@ -48,6 +47,7 @@ from .moments import (
     ensemble_moment_oracle,
     majority_tail,
     mean_matchings_bounds,
+    meets_power_threshold,
 )
 from .oracles import brute_force_matching_count, brute_force_matching_profile, permanent_naive
 from .streams import RandomStream
@@ -59,10 +59,6 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed_ms: float = 0.0
-
-
-def _fail(name: str, a: ZeroOneMatrix, message: str) -> CheckResult:
-    return CheckResult(name, False, f"{message}; counterexample:\n{write_matrix(a)}")
 
 
 def _bernoulli_half(m: int, n: int) -> EnsembleSpec:
@@ -81,14 +77,15 @@ def _fair_coin_matrices(shapes):
         yield from enumerate_ensemble(_bernoulli_half(m, n))
 
 
-def _each(name: str, matrices, compare, noun: str) -> CheckResult:
-    """compare(a) returns a mismatch message or a false value; the first
-    message fails the check with `a` as counterexample, else "N <noun>"."""
+def _each(name: str, cases, compare, noun: str) -> CheckResult:
+    """compare(case) returns a mismatch message or a false value; the first
+    message fails the check with str(case) as counterexample (a matrix's
+    str is its text format), else the detail is "N <noun>"."""
     seen = 0
-    for a in matrices:
-        message = compare(a)
+    for case in cases:
+        message = compare(case)
         if message:
-            return _fail(name, a, message)
+            return CheckResult(name, False, f"{message}; counterexample:\n{case}")
         seen += 1
     return CheckResult(name, True, f"{seen} {noun}")
 
@@ -217,6 +214,13 @@ def _interleaved_union(a: ZeroOneMatrix, b: ZeroOneMatrix) -> ZeroOneMatrix:
     return ZeroOneMatrix(a.rows + b.rows, a.cols + b.cols, tuple(rows))
 
 
+class _Blocks(tuple):
+    """Two matrices, shown as their texts one after the other."""
+
+    def __str__(self) -> str:
+        return "".join(map(str, self))
+
+
 def check_component_product() -> CheckResult:
     """Count and profile of a disjoint union: product and convolution of the blocks.
 
@@ -224,116 +228,126 @@ def check_component_product() -> CheckResult:
     interleaves their rows in a block-diagonal union; the expected values
     come from enumerating each block on its own.
     """
-    name = "component-product"
-    samples = 150
     shapes = RandomStream(_SEED, 0)
-    for t in range(samples):
-        a, b = (
+    pairs = (
+        _Blocks(
             sample_matrix(
                 _bernoulli_half(1 + shapes.randbelow(4), 1 + shapes.randbelow(4)),
                 RandomStream(_SEED, 2 * t + k + 1),
             )
             for k in range(2)
         )
+        for t in range(150)
+    )
+
+    def compare(blocks):
+        a, b = blocks
         union = _interleaved_union(a, b)
         expect = brute_force_matching_count(a) * brute_force_matching_count(b)
         got = count_all_matchings(union)
         if got != expect:
-            return _fail(name, union, f"count {got}, product of the blocks {expect}")
+            return f"union count {got}, product of the blocks {expect}"
         pa, pb = brute_force_matching_profile(a), brute_force_matching_profile(b)
         expect = [
             sum(pa[i] * pb[k - i] for i in range(len(pa)) if 0 <= k - i < len(pb))
             for k in range(len(pa) + len(pb) - 1)
         ]
         got = matching_profile(union)
-        if got != expect:
-            return _fail(name, union, f"profile {got}, convolution of the blocks {expect}")
-    return CheckResult(name, True, f"{samples} interleaved unions factor")
+        return got != expect and f"union profile {got}, convolution of the blocks {expect}"
+
+    return _each("component-product", pairs, compare, "interleaved unions factor")
 
 
 def check_mean_formula() -> CheckResult:
-    """Fair-coin mean formula against ensemble enumeration, m <= n <= 3."""
-    name = "mean-formula"
+    """Fair-coin mean formula against ensemble enumeration, m <= n <= 3, and two spots."""
     spots = {(1, 1): Fraction(3, 2), (2, 2): Fraction(7, 2)}
-    for n in range(4):
-        for m in range(n + 1):
-            formula = bernoulli_mean_matchings(m, n)
-            oracle = ensemble_moment_oracle(_bernoulli_half(m, n), MomentStatistic.MEAN_COUNT)
-            if formula != oracle:
-                return CheckResult(
-                    name, False, f"m={m} n={n}: formula {formula}, enumeration {oracle}"
-                )
-            if (m, n) in spots and formula != spots[(m, n)]:
-                return CheckResult(name, False, f"m={m} n={n}: {formula} != {spots[(m, n)]}")
-    return CheckResult(name, True, "all m <= n <= 3 agree with enumeration")
+
+    def compare(mn):
+        formula = bernoulli_mean_matchings(*mn)
+        oracle = ensemble_moment_oracle(_bernoulli_half(*mn), count_all_matchings)
+        if formula != oracle:
+            return f"formula {formula}, enumeration {oracle} at (m, n)"
+        if formula != spots.get(mn, formula):
+            return f"formula {formula}, spot {spots[mn]} at (m, n)"
+
+    grid = [(m, n) for n in range(4) for m in range(n + 1)]
+    return _each("mean-formula", grid, compare, "(m, n) points agree with enumeration")
 
 
 def check_second_moment_formula() -> CheckResult:
-    """Averaged estimator second moment: recurrence vs enumeration and closed form."""
-    name = "second-moment-formula"
-    for n in range(4):
-        for m in range(n + 1):
-            formula = bernoulli_second_moment(m, n)
-            oracle = ensemble_moment_oracle(
-                _bernoulli_half(m, n), MomentStatistic.MEAN_TRIAL_SECOND_MOMENT
-            )
-            if formula != oracle:
-                return CheckResult(
-                    name, False, f"m={m} n={n}: recurrence {formula}, enumeration {oracle}"
-                )
-    if bernoulli_second_moment(1, 1) != Fraction(5, 2):
-        return CheckResult(name, False, f"(1,1) gives {bernoulli_second_moment(1, 1)}, not 5/2")
-    for n in range(9):
-        for m in range(n + 1):
-            dp = bernoulli_second_moment(m, n)
-            closed = bernoulli_second_moment_closed_form(m, n)
-            if dp != closed:
-                return CheckResult(name, False, f"m={m} n={n}: recurrence {dp} != closed {closed}")
-    return CheckResult(name, True, "recurrence, closed form and enumeration agree")
+    """Averaged estimator second moment, m <= n <= 8: the recurrence against
+    ensemble enumeration where n <= 3, the closed form everywhere, and 5/2 at (1, 1)."""
+
+    def compare(mn):
+        m, n = mn
+        dp = bernoulli_second_moment(m, n)
+        if n <= 3:
+            oracle = ensemble_moment_oracle(_bernoulli_half(m, n), amm_trial_second_moment)
+            if dp != oracle:
+                return f"recurrence {dp}, enumeration {oracle} at (m, n)"
+        closed = bernoulli_second_moment_closed_form(m, n)
+        if dp != closed:
+            return f"recurrence {dp}, closed form {closed} at (m, n)"
+        return mn == (1, 1) and dp != Fraction(5, 2) and f"recurrence {dp}, spot 5/2 at (m, n)"
+
+    grid = [(m, n) for n in range(9) for m in range(n + 1)]
+    noun = "(m, n) points agree with the closed form and enumeration"
+    return _each("second-moment-formula", grid, compare, noun)
 
 
 def check_edge_count_formulas() -> CheckResult:
-    """Fixed-ones mean and second moment against ensemble enumeration, n <= 3."""
-    name = "edge-count-formulas"
-    for n in range(1, 4):
-        for m in range(n * n + 1):
-            spec = EnsembleSpec(EnsembleKind.EXACT_ONES, m, n)
-            mean = edge_count_mean_matchings(n, m)
-            mean_oracle = ensemble_moment_oracle(spec, MomentStatistic.MEAN_COUNT)
-            if mean != mean_oracle:
-                return CheckResult(
-                    name, False, f"n={n} m={m}: mean {mean}, enumeration {mean_oracle}"
-                )
-            second = edge_count_second_moment(n, m)
-            second_oracle = ensemble_moment_oracle(spec, MomentStatistic.MEAN_COUNT_SQUARED)
-            if second != second_oracle:
-                return CheckResult(
-                    name, False, f"n={n} m={m}: second moment {second}, enumeration {second_oracle}"
-                )
-    spots = edge_count_mean_matchings(2, 1), edge_count_mean_matchings(2, 4)
-    if spots != (Fraction(2), Fraction(7)):
-        return CheckResult(name, False, f"spot means {spots} != (2, 7)")
-    if edge_count_second_moment(2, 4) != 49:
-        return CheckResult(name, False, "spot second moment at n=2 m=4 is not 49")
-    return CheckResult(name, True, "all n <= 3 agree with enumeration")
+    """Fixed-ones mean and second moment against ensemble enumeration, n <= 3
+    and every m, plus three spots."""
+    spots = {("mean", 2, 1): 2, ("mean", 2, 4): 7, ("second moment", 2, 4): 49}
+
+    def compare(nm):
+        n, m = nm
+        spec = EnsembleSpec(EnsembleKind.EXACT_ONES, m, n)
+        for label, formula, statistic in (
+            ("mean", edge_count_mean_matchings, count_all_matchings),
+            ("second moment", edge_count_second_moment, lambda a: count_all_matchings(a) ** 2),
+        ):
+            got, oracle = formula(n, m), ensemble_moment_oracle(spec, statistic)
+            if got != oracle:
+                return f"{label} {got}, enumeration {oracle} at (n, m)"
+            spot = spots.get((label, n, m), got)
+            if got != spot:
+                return f"{label} {got}, spot {spot} at (n, m)"
+
+    grid = [(n, m) for n in range(1, 4) for m in range(n * n + 1)]
+    return _each("edge-count-formulas", grid, compare, "(n, m) points agree with enumeration")
 
 
 def check_majority_tail() -> CheckResult:
-    """Tail spots and its safe properties: nonincreasing in eps, never above 1/2."""
-    name = "majority-tail"
-    if majority_tail(2, Fraction(1, 50)) != Fraction(5, 16):
-        return CheckResult(name, False, f"tail(2, 1/50) = {majority_tail(2, Fraction(1, 50))}")
-    if majority_tail(1, Fraction(1, 50)) != Fraction(1, 2):
-        return CheckResult(name, False, f"tail(1, 1/50) = {majority_tail(1, Fraction(1, 50))}")
+    """Tail spots and its safe properties for 1 <= n <= 10: nonincreasing in
+    eps, never above 1/2."""
     grid = [Fraction(1, 1000), Fraction(1, 200), Fraction(1, 100), Fraction(1, 50)]
-    for n in range(1, 11):
+    spots = {1: Fraction(1, 2), 2: Fraction(5, 16)}  # at eps = 1/50
+
+    def compare(n):
         tails = [majority_tail(n, eps) for eps in grid]
-        for early, late in zip(tails, tails[1:]):
-            if late > early:
-                return CheckResult(name, False, f"tail increases in eps at n={n}")
-        if any(t > Fraction(1, 2) for t in tails):
-            return CheckResult(name, False, f"tail above 1/2 at n={n}")
-    return CheckResult(name, True, "spots exact, nonincreasing in eps, never above 1/2")
+        if tails[-1] != spots.get(n, tails[-1]):
+            return f"tail at eps 1/50 is {tails[-1]}, not {spots[n]}, at n"
+        if any(late > early for early, late in zip(tails, tails[1:])):
+            return "tail increases in eps at n"
+        return max(tails) > Fraction(1, 2) and "tail above 1/2 at n"
+
+    noun = "values of n: spots exact, nonincreasing in eps, never above 1/2"
+    return _each("majority-tail", range(1, 11), compare, noun)
+
+
+def check_ratio_crossover() -> CheckResult:
+    """The fair-coin ensemble ratio E[X^2] / E[X]^2 of n x n matrices is
+    below n^(sqrt(n)/2) at n = 356 and at or above it at n = 357, decided exactly."""
+
+    def compare(n):
+        ratio = bernoulli_second_moment(n, n) / bernoulli_mean_matchings(n, n) ** 2
+        meets = meets_power_threshold(ratio, n)
+        side = "meets" if meets else "is below"
+        return meets != (n == 357) and f"ratio {side} n^(sqrt(n)/2) at n"
+
+    noun = "values of n decided: below at 356, met at 357"
+    return _each("ratio-crossover", (356, 357), compare, noun)
 
 
 def check_peak_sandwich() -> CheckResult:
@@ -412,6 +426,7 @@ FULL_EXTRAS = [
     check_ratio_bound_random,
     check_peak_sandwich,
     check_component_product,
+    check_ratio_crossover,
 ]
 
 

@@ -23,7 +23,6 @@ from matchcount.exact import (
 )
 from matchcount.cli import main
 from matchcount.moments import (
-    MomentStatistic,
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
@@ -121,7 +120,7 @@ def test_criterion_06_bernoulli_mean_formula():
     """Closed-form mean matches exhaustive averages, spots, and a Monte Carlo run."""
     for n in range(4):
         for m in range(n + 1):
-            oracle = ensemble_moment_oracle(bernoulli_half(m, n), MomentStatistic.MEAN_COUNT)
+            oracle = ensemble_moment_oracle(bernoulli_half(m, n), count_all_matchings)
             assert bernoulli_mean_matchings(m, n) == oracle
     assert bernoulli_mean_matchings(1, 1) == Fraction(3, 2)
     assert bernoulli_mean_matchings(2, 2) == Fraction(7, 2)
@@ -148,7 +147,7 @@ def test_criterion_07_bernoulli_second_moment_formula():
     for n in range(4):
         for m in range(n + 1):
             oracle = ensemble_moment_oracle(
-                bernoulli_half(m, n), MomentStatistic.MEAN_TRIAL_SECOND_MOMENT
+                bernoulli_half(m, n), amm_trial_second_moment
             )
             assert bernoulli_second_moment(m, n) == oracle
     assert bernoulli_second_moment(1, 1) == Fraction(5, 2)
@@ -182,9 +181,9 @@ def test_criterion_09_edge_count_formulas():
         for m in range(n * n + 1):
             spec = EnsembleSpec(EnsembleKind.EXACT_ONES, m, n)
             assert edge_count_mean_matchings(n, m) == \
-                ensemble_moment_oracle(spec, MomentStatistic.MEAN_COUNT)
+                ensemble_moment_oracle(spec, count_all_matchings)
             assert edge_count_second_moment(n, m) == \
-                ensemble_moment_oracle(spec, MomentStatistic.MEAN_COUNT_SQUARED)
+                ensemble_moment_oracle(spec, lambda a: count_all_matchings(a) ** 2)
     assert edge_count_mean_matchings(2, 1) == 2
     assert edge_count_mean_matchings(2, 4) == 7
     assert edge_count_second_moment(2, 4) == 49

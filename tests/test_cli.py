@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import matchcount.verify as verify
 from matchcount.cli import main
 from matchcount.exact import count_all_matchings
 from matchcount.matrix import read_matrix, write_matrix, ZeroOneMatrix
-from matchcount.moments import bernoulli_mean_matchings
+from matchcount.moments import bernoulli_mean_matchings, majority_tail
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +355,50 @@ def test_ratio_scan_json(capsys):
     assert payload["command"] == "ratio-scan"
     assert [row["n"] for row in payload["rows"]] == [2, 3]
     assert payload["rows"][0]["ratio"] == "61/49"
+
+
+@contextmanager
+def no_int_digit_limit():
+    """Lift Python's int <-> str digit limit, to parse long exact values back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_moments_past_the_int_digit_limit(capsys):
+    """thm7 at n = 120 has a 4335-digit denominator; it prints in full, and
+    main leaves Python's digit limit as it found it."""
+    limit = sys.get_int_max_str_digits()
+    code, record = run_json(capsys, "moments", "thm7", "--n", "120")
+    assert code == 0
+    assert run_cli(capsys, "moments", "thm3", "--n", "2000")[0] == 0
+    assert sys.get_int_max_str_digits() == limit
+    with no_int_digit_limit():
+        assert Fraction(record["values"]["value"]) == majority_tail(120, Fraction(1, 50))
+
+
+def test_ratio_scan_past_the_int_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "ratio-scan", "--n-range", "119:121", "--format", "csv")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["n"] for row in rows] == ["119", "120", "121"]
+    with no_int_digit_limit():
+        for row in rows:
+            tail = majority_tail(int(row["n"]), Fraction(1, 50))
+            assert Fraction(row["majority-tail"]) == tail
+
+
+def test_matrix_header_integer_is_bounded(tmp_path, capsys):
+    """A 5000-digit header integer is refused at once, not parsed."""
+    path = tmp_path / "huge.txt"
+    path.write_text("9" * 5000 + " 2\n11\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "exact", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err.startswith("error:") and out == ""
 
 
 def test_ratio_scan_rejects_bad_range(capsys):
