@@ -34,7 +34,6 @@ from .errors import (
     UndefinedRatioError,
 )
 from .estimators import (
-    EquivalenceReport,
     Method,
     TrialStats,
     amm_trial,

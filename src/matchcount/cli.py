@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .ensembles import EnsembleSpec, sample_matrix
+from .ensembles import EnsembleSpec, parse_rational, sample_matrix
 from .errors import (
     CapacityError,
     DomainError,
@@ -258,13 +258,9 @@ def cmd_estimate(args) -> tuple[ResultRecord, int]:
 
 
 def _parse_eps(text: str) -> Fraction:
-    """p/q or a plain decimal; an exponent is refused, as "1e-999999999"
-    would build a power of ten of a billion digits."""
     try:
-        if "e" in text.lower():
-            raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ValueError:
         raise MatchcountError(f"--eps wants a rational like 1/50, got {text!r}") from None
 
 

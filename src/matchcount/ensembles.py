@@ -6,7 +6,8 @@ Three ensembles are supported, written as colon-separated spec strings:
     exactones:m:n     n x n with exactly m ones, uniform over placements
     edges:m:n         alias of exactones (the graph view: m edges on n+n vertices)
 
-p is parsed exactly: "1/2", "0.3" and "1" all become Fractions, never floats.
+p is parsed exactly by parse_rational: "1/2", "0.3" and "1" all become
+Fractions, never floats.
 """
 
 import itertools
@@ -26,6 +27,17 @@ MAX_ENUM_SUPPORT = 10**6
 # Sampling draws (Bernoulli) or shuffles (fixed-ones) one value per cell, so
 # a spec with more cells than this is refused before the first draw.
 MAX_SAMPLE_CELLS = 10**6
+
+
+def parse_rational(text: str) -> Fraction:
+    """p/q or a plain decimal, exactly; ValueError otherwise.  An exponent is
+    refused, as "1e-999999999" would build a power of ten of a billion digits."""
+    if "e" in text.lower():
+        raise ValueError(f"exponent in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class EnsembleKind(Enum):
@@ -81,8 +93,8 @@ class EnsembleSpec:
         p = None
         if kind is EnsembleKind.BERNOULLI:
             try:
-                p = Fraction(parts[3])
-            except (ValueError, ZeroDivisionError):
+                p = parse_rational(parts[3])
+            except ValueError:
                 raise ParseError(f"bad probability {parts[3]!r} in ensemble spec") from None
         try:
             return cls(kind, m, n, p)

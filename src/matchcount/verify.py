@@ -7,9 +7,10 @@ fails loudly with the offending matrix (or formula grid point) in the
 detail, so a corrupted build points straight at a counterexample.
 
 Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
-"full" adds the 4x4 exhaustive sweep, random 8x8 ratio-bound checks, the
-peak sandwich up to n = 100, the disjoint-union factorisation of count and
-profile, and the exact crossover of the ensemble ratio at n = 357.
+"full" adds the 4x4 exhaustive sweep, the transform equivalence on every
+3x3 matrix, random 8x8 ratio-bound checks, the peak sandwich up to n = 100,
+the disjoint-union factorisation of count and profile, and the exact
+crossover of the ensemble ratio at n = 357.
 
 Production routes and oracles are looked up by module-global name when a
 check runs, so a patched or wrapped function is the one checked.
@@ -173,8 +174,8 @@ def check_rm_unbiased() -> CheckResult:
     return _each("rm-unbiased", _fair_coin_matrices(_SQUARES[1:]), compare, "matrices unbiased")
 
 
-def check_transformed_equivalence() -> CheckResult:
-    """Exhaustive distribution equality of amm-on-A and scaled rm-on-transformed."""
+def check_transformed_equivalence(shapes=_SQUARES[1:3]) -> CheckResult:
+    """Exact law equality of amm-on-A and scaled rm-on-transformed, exhaustive."""
 
     def compare(a):
         try:
@@ -182,7 +183,7 @@ def check_transformed_equivalence() -> CheckResult:
         except EquivalenceViolationError as exc:
             return str(exc)
 
-    matrices = _fair_coin_matrices(_SQUARES[1:3])
+    matrices = _fair_coin_matrices(shapes)
     return _each("transformed-equivalence", matrices, compare, "matrices equivalent")
 
 
@@ -421,8 +422,13 @@ def _check_count_4x4() -> CheckResult:
     return check_count_vs_enumeration(shapes=[(4, 4)])
 
 
+def _check_equivalence_3x3() -> CheckResult:
+    return check_transformed_equivalence(shapes=[(3, 3)])
+
+
 FULL_EXTRAS = [
     _check_count_4x4,
+    _check_equivalence_3x3,
     check_ratio_bound_random,
     check_peak_sandwich,
     check_component_product,

@@ -142,6 +142,7 @@ def test_exact_rejects_wide_component(tmp_path, capsys):
         ("moments", "thm4", "--n", "2", "--m", "3"),
         ("moments", "thm6", "--n", "0"),
         ("moments", "thm8-mean", "--n", "-1", "--m", "0"),
+        ("exact", "--random", "bernoulli:2:2:1e-9999999"),
     ],
 )
 def test_boundary_errors_exit_cleanly(argv):
@@ -315,6 +316,15 @@ def test_verify_small_passes(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
     assert len(rows) == 15  # header + 14 checks
+    assert all(row[1] == "pass" for row in rows[1:])
+
+
+def test_verify_full_passes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "full", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "status", "ms", "detail"]
+    assert len(rows) == 21  # header + 14 small checks + 6 full extras
     assert all(row[1] == "pass" for row in rows[1:])
 
 

@@ -32,7 +32,8 @@ SPEC = st.builds(
     lambda kind, parts: ":".join([kind, *parts]),
     st.sampled_from(["bernoulli", "exactones", "edges", "bogus", ""]),
     st.lists(
-        st.sampled_from(["-1", "0", "1", "2", "3", "5", "x", "", "1/2", "0.5", "3/2", "1/0"]),
+        st.sampled_from(["-1", "0", "1", "2", "3", "5", "x", "", "1/2", "0.5", "3/2", "1/0",
+                         "1e-3", "1e-9999999"]),
         max_size=4,
     ),
 )

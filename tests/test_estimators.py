@@ -1,12 +1,13 @@
 """Randomized estimators: unbiasedness over all coin paths, trial mechanics."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble
-from matchcount.errors import DomainError, ShapeError
+from matchcount.errors import CapacityError, DomainError, ShapeError
 from matchcount.estimators import (
     Method,
     TrialStats,
@@ -143,23 +144,38 @@ def test_run_trials_sample_mean_near_truth():
     assert abs(float(ratio) - float(exact)) < 0.2
 
 
+def law_mean(law):
+    return sum((v * p for v, p in law.items()), Fraction(0))
+
+
 def test_transformed_equivalence_exhaustive_small():
     for n in (1, 2):
         for a in all_matrices(n, n):
-            report = transformed_equivalence_check(a)
-            assert report.exhaustive and report.match
-            assert report.amm_mean == count_all_matchings(a)
+            law = transformed_equivalence_check(a)
+            assert law == outcome_distribution(a, Method.AMM)
+            assert law_mean(law) == count_all_matchings(a)
 
 
-def test_transformed_equivalence_sampled():
+def test_transformed_equivalence_3x3():
     a = ZeroOneMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    report = transformed_equivalence_check(a, trials=4000, seed=3)
-    assert not report.exhaustive
-    assert report.match
-    # amm draws streams 0..3999 and rm streams 4000..7999; these values pin them
-    assert report.tv_distance == Fraction(7, 500)
-    assert report.amm_mean == Fraction(72099, 4000)
-    assert report.rm_scaled_mean == Fraction(18087, 1000)
+    law = transformed_equivalence_check(a)
+    assert law == outcome_distribution(a, Method.AMM)
+    assert law == {
+        9: Fraction(1, 9), 12: Fraction(1, 6), 18: Fraction(1, 2), 27: Fraction(2, 9)
+    }
+    assert law_mean(law) == count_all_matchings(a) == 18
+
+
+def test_transformed_equivalence_cap_edges():
+    assert transformed_equivalence_check(ZeroOneMatrix.ones(0, 0)) == {1: Fraction(1)}
+    ones = ZeroOneMatrix.ones(6, 6)
+    assert law_mean(transformed_equivalence_check(ones)) == count_all_matchings(ones)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        transformed_equivalence_check(ZeroOneMatrix.ones(7, 7))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ShapeError):
+        transformed_equivalence_check(ZeroOneMatrix.ones(2, 3))
 
 
 def test_transformed_rm_never_dies():
