@@ -57,7 +57,6 @@ from .moments import (
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
-    containment_probability,
     edge_count_mean_matchings,
     edge_count_second_moment,
     ensemble_moment_oracle,

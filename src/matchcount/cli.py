@@ -65,6 +65,13 @@ ECHO_LIMIT = 8
 
 FORMULAS = ("thm3", "thm4", "thm5", "thm6", "thm7", "thm8-mean", "thm8-m2")
 
+# Largest n each command accepts, checked before any work.  At each moments
+# cap the slowest case took 2.5-8 s on one core of a 2-vCPU Xeon; ratio-scan
+# reaches the paper's crossover range instead, though its row at n = 700
+# takes about 36 s, nearly all of it majority tail.
+MAX_N = {"thm3": 4000, "thm4": 2000, "thm5": 4000, "thm6": 2000, "thm7": 400,
+         "thm8-mean": 200, "thm8-m2": 40, "ratio-scan": 700}
+
 
 @dataclass
 class ResultRecord:
@@ -271,10 +278,18 @@ def _require(args, record: ResultRecord, *names: str):
         record.params[name] = str(getattr(args, name))
 
 
+def _cap_n(command: str, n: int):
+    if n > MAX_N[command]:
+        shown = n if n < 10**18 else f"a {len(str(n))}-digit n"
+        raise CapacityError(f"{command} supports n <= {MAX_N[command]}, got {shown}")
+
+
 def cmd_moments(args) -> tuple[ResultRecord, int]:
     record = ResultRecord("moments")
     record.params["formula"] = args.formula
     formula = args.formula
+    if args.n is not None:
+        _cap_n(formula, args.n)
     if formula in ("thm3", "thm4"):
         _require(args, record, "n")
         m = args.n if args.m is None else args.m
@@ -330,6 +345,7 @@ def cmd_ratio_scan(args) -> tuple[tuple, int]:
         raise MatchcountError(f"--n-range wants LO:HI, got {args.n_range!r}") from None
     if not 1 <= lo <= hi:
         raise MatchcountError(f"--n-range wants 1 <= LO <= HI, got {args.n_range!r}")
+    _cap_n("ratio-scan", hi)
     eps = _parse_eps(args.eps)
     columns = [
         "n",

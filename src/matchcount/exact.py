@@ -48,8 +48,8 @@ from .matrix import ZeroOneMatrix, build_transformed
 MAX_SWEEP_WIDTH = 24
 # Ryser's formula walks all 2^n column subsets.
 MAX_RYSER_COLS = 20
-# The permanent route builds a 2n x 2n matrix for Ryser, so n caps at 10.
-MAX_TRANSFORM_SIDE = 10
+# The permanent route builds a 2n x 2n matrix for Ryser.
+MAX_TRANSFORM_SIDE = MAX_RYSER_COLS // 2
 
 MatchingProfile = list[int]
 

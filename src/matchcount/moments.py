@@ -7,12 +7,13 @@ second moment of the skip-allowing estimator follow a two-term recurrence
 
 whose coefficient pair (a, c) is (1, l/2) for the mean of the matching count
 and ((l+2)/2, (l^2+3l)/4) for the estimator's second moment.  The mean has a
-direct sum; the second moment runs the recurrence scaled by 4^m, which
-clears its denominators so the loop stays in int.  For n x n matrices with
-exactly m ones, mean and second moment of the matching count come from
-inclusion-exclusion over one and two fixed matchings.
+direct sum; the second moment runs the recurrence scaled by 4^m.  For n x n
+matrices with exactly m ones, mean and second moment of the matching count
+come from inclusion-exclusion over one and two fixed matchings.
 
-Everything returns Fraction (or int); decimal strings are rendering only.
+Each closed form sums int numerators over one fixed denominator (2^m, 4^m,
+4^n or C(n^2, m)) and builds one Fraction at the end; the independent routes
+that check them keep their own arithmetic.  Decimal strings are rendering only.
 """
 
 from dataclasses import dataclass
@@ -59,13 +60,10 @@ def _complete_homogeneous(degree: int, xs: list[int]) -> int:
 
 def bernoulli_mean_matchings(m: int, n: int) -> Fraction:
     """Mean matching count over m x n fair-coin matrices:
-    sum over k of C(m, k) * P(n, k) / 2^k."""
+    sum over k of C(m, k) * P(n, k) / 2^k, summed over the denominator 2^m."""
     if not 0 <= m <= n:
         raise DomainError(f"needs 0 <= m <= n, got m={m}, n={n}")
-    return sum(
-        (Fraction(comb(m, k) * perm(n, k), 2**k) for k in range(m + 1)),
-        Fraction(0),
-    )
+    return Fraction(sum(comb(m, k) * perm(n, k) << (m - k) for k in range(m + 1)), 1 << m)
 
 
 def bernoulli_second_moment(m: int, n: int) -> Fraction:
@@ -152,17 +150,14 @@ def mean_matchings_bounds(n: int) -> MeanBounds:
 
 def second_moment_diag_lower_bound(n: int) -> Fraction:
     """Closed-form lower bound on the averaged second moment (diagnostic only):
-    sum over k of (n!)^2 (n+3)! / 2^(2n) * 2^k (k+2)^k / ((k!)^2 (k+3)! (n-k)!)."""
+    sum over k of (n!)^2 (n+3)! / 2^(2n) * 2^k (k+2)^k / ((k!)^2 (k+3)! (n-k)!),
+    whose factorials cancel to C(n, k) P(n, n-k) P(n+3, n-k)."""
     if n < 0:
         raise DomainError(f"needs n >= 0, got {n}")
-    lead = Fraction(factorial(n) ** 2 * factorial(n + 3), 2 ** (2 * n))
-    return lead * sum(
-        (
-            Fraction(2**k * (k + 2) ** k, factorial(k) ** 2 * factorial(k + 3) * factorial(n - k))
-            for k in range(n + 1)
-        ),
-        Fraction(0),
+    numerators = (
+        comb(n, k) * perm(n, n - k) * perm(n + 3, n - k) * (k + 2) ** k << k for k in range(n + 1)
     )
+    return Fraction(sum(numerators), 4**n)
 
 
 def meets_power_threshold(value: Fraction, n: int) -> bool:
@@ -238,33 +233,21 @@ def majority_tail(n: int, eps: Fraction) -> Fraction:
 # Uniform n x n matrices with exactly m ones.
 
 
-def containment_probability(n: int, m: int, k: int) -> Fraction:
-    """Probability that k fixed cells all lie inside a uniform n x n matrix
-    with exactly m ones: C(n^2 - k, m - k) / C(n^2, m).
-
-    Zero when k > m (m ones cannot cover more than m cells).  k may exceed n,
-    as for the union of two matchings (up to 2n cells).
-    """
-    if n < 0 or k < 0:
-        raise DomainError(f"needs n, k >= 0, got n={n}, k={k}")
+def _require_edge_count(n: int, m: int):
+    if n < 0:
+        raise DomainError(f"needs n >= 0, got {n}")
     if not 0 <= m <= n * n:
         raise DomainError(f"needs 0 <= m <= n^2, got m={m}, n={n}")
-    if k > m:
-        return Fraction(0)
-    return Fraction(comb(n * n - k, m - k), comb(n * n, m))
 
 
 def edge_count_mean_matchings(n: int, m: int) -> Fraction:
     """Mean matching count of a uniform n x n matrix with exactly m ones:
-    sum over k of C(n, k)^2 k! times the k-matching containment probability."""
-    if n < 0:
-        raise DomainError(f"needs n >= 0, got {n}")
-    return sum(
-        (
-            comb(n, k) ** 2 * factorial(k) * containment_probability(n, m, k)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
+    sum over k of C(n, k)^2 k! times the probability C(n^2-k, m-k) / C(n^2, m)
+    that a fixed k-matching lies inside the matrix."""
+    _require_edge_count(n, m)
+    return Fraction(
+        sum(comb(n, k) ** 2 * factorial(k) * comb(n * n - k, m - k) for k in range(min(n, m) + 1)),
+        comb(n * n, m),
     )
 
 
@@ -287,10 +270,7 @@ def edge_count_second_moment(n: int, m: int) -> Fraction:
     leave free, avoiding M1's other k-j edges; the union has k+s cells, all
     present with count C(n^2-k-s, m-k-s) out of C(n^2, m).
     """
-    if n < 0:
-        raise DomainError(f"needs n >= 0, got {n}")
-    if not 0 <= m <= n * n:
-        raise DomainError(f"needs 0 <= m <= n^2, got m={m}, n={n}")
+    _require_edge_count(n, m)
     total = 0
     for k in range(min(n, m) + 1):
         first = comb(n, k) ** 2 * factorial(k)

@@ -143,6 +143,8 @@ def test_exact_rejects_wide_component(tmp_path, capsys):
         ("moments", "thm6", "--n", "0"),
         ("moments", "thm8-mean", "--n", "-1", "--m", "0"),
         ("exact", "--random", "bernoulli:2:2:1e-9999999"),
+        ("moments", "thm4", "--n", "1000000"),
+        ("ratio-scan", "--n-range", "9" * 5000 + ":" + "9" * 5000),
     ],
 )
 def test_boundary_errors_exit_cleanly(argv):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, factorial, isqrt
+from math import ceil, comb, factorial, isqrt, perm
 
 import pytest
 
@@ -13,7 +13,6 @@ from matchcount.moments import (
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
-    containment_probability,
     edge_count_mean_matchings,
     edge_count_second_moment,
     ensemble_moment_oracle,
@@ -90,6 +89,37 @@ def recurrence_dp(m, n, a, c):
     for i in range(1, m + 1):
         row = {l: a(l) * row[l] + c(l) * row[l - 1] for l in range(n - m + i, n + 1)}
     return row[n]
+
+
+# Textbook forms of the integer closed forms: one normalised Fraction per term.
+def textbook_mean(m, n):
+    return sum(Fraction(comb(m, k) * perm(n, k), 2**k) for k in range(m + 1))
+
+
+def textbook_diag_bound(n):
+    lead = Fraction(factorial(n) ** 2 * factorial(n + 3), 2 ** (2 * n))
+    return lead * sum(
+        Fraction(2**k * (k + 2) ** k, factorial(k) ** 2 * factorial(k + 3) * factorial(n - k))
+        for k in range(n + 1)
+    )
+
+
+def textbook_edge_count_mean(n, m):
+    return sum(
+        comb(n, k) ** 2 * factorial(k) * Fraction(comb(n * n - k, m - k), comb(n * n, m))
+        for k in range(min(n, m) + 1)
+    )
+
+
+def test_integer_sums_equal_textbook_sums():
+    for n in range(61):
+        for m in range(n + 1):
+            assert bernoulli_mean_matchings(m, n) == textbook_mean(m, n), (m, n)
+        assert second_moment_diag_lower_bound(n) == textbook_diag_bound(n), n
+    for n in range(7):
+        for m in range(n * n + 1):
+            assert edge_count_mean_matchings(n, m) == textbook_edge_count_mean(n, m), (n, m)
+    assert edge_count_mean_matchings(20, 200) == textbook_edge_count_mean(20, 200)
 
 
 def test_recurrence_routes_agree():
@@ -274,18 +304,6 @@ def test_majority_tail_never_exceeds_half():
         assert all(x >= y for x, y in zip(values, values[1:]))
 
 
-def test_containment_probability():
-    assert containment_probability(2, 2, 1) == Fraction(comb(3, 1), comb(4, 2))
-    assert containment_probability(2, 1, 2) == 0      # k > m
-    assert containment_probability(2, 4, 3) == 1      # all cells present
-    assert containment_probability(2, 0, 0) == 1
-    # k may exceed n when unions of two matchings are involved
-    assert containment_probability(2, 4, 4) == 1
-    assert containment_probability(2, 3, 4) == 0
-    with pytest.raises(DomainError):
-        containment_probability(2, 5, 0)
-
-
 def test_edge_count_mean_known_values():
     assert edge_count_mean_matchings(2, 1) == 2
     assert edge_count_mean_matchings(2, 2) == Fraction(10, 3)
@@ -359,6 +377,8 @@ def test_edge_count_domain():
         edge_count_mean_matchings(2, 5)
     with pytest.raises(DomainError):
         edge_count_mean_matchings(-1, 0)
+    with pytest.raises(DomainError):
+        edge_count_mean_matchings(2, -1)
     with pytest.raises(DomainError):
         edge_count_second_moment(2, -1)
 
