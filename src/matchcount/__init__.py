@@ -5,13 +5,8 @@ The package counts all matchings of a bipartite graph given as a 0-1 matrix
 identity), estimates the count with unbiased single-sample estimators, and
 evaluates closed-form moments of the count over random-matrix ensembles with
 exact rational arithmetic.  The same sweep gives the profile by matching size
-and the exact second moments of both estimators:
-
-    quantity                   skip   weight per state
-    count_all_matchings        yes    1
-    matching_profile           yes    1
-    amm_trial_second_moment    yes    q = |row & ~used| + 1
-    rm_trial_second_moment     no     q = |row & ~used|
+and the exact second moments of both estimators; the docstring of
+matchcount.exact tabulates which skip rule and weight select each quantity.
 
 See the README for the CLI.
 """

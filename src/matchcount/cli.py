@@ -35,11 +35,10 @@ from .errors import (
 )
 from .estimators import Method, run_trials
 from .exact import (
-    count_all_matchings,
+    TRIAL_MEAN,
+    TRIAL_SECOND_MOMENT,
     count_matchings_via_permanent,
-    critical_ratio,
     matching_profile,
-    permanent_ryser,
 )
 from .matrix import ZeroOneMatrix, read_matrix, write_matrix
 from .moments import (
@@ -71,6 +70,14 @@ FORMULAS = ("thm3", "thm4", "thm5", "thm6", "thm7", "thm8-mean", "thm8-m2")
 # takes about 36 s, nearly all of it majority tail.
 MAX_N = {"thm3": 4000, "thm4": 2000, "thm5": 4000, "thm6": 2000, "thm7": 400,
          "thm8-mean": 200, "thm8-m2": 40, "ratio-scan": 700}
+
+# estimate refuses trials * (TRIAL_SETUP + rows + ones) above MAX_TRIAL_WORK
+# before the first trial.  A trial builds one stream, which costs about as
+# much as TRIAL_SETUP rows, then makes one draw per row and clears at most one
+# bit per 1-entry.  The slowest admitted cases, a 0x0 matrix or all-zero rows,
+# took 4-6 s on one core of a 2-vCPU Xeon.
+TRIAL_SETUP = 20
+MAX_TRIAL_WORK = 8 * 10**6
 
 
 @dataclass
@@ -239,6 +246,13 @@ def cmd_estimate(args) -> tuple[ResultRecord, int]:
     record.params["method"] = method.value
     record.params["trials"] = str(args.trials)
     record.params["workers"] = str(args.workers)
+    ones, trials = a.one_count(), args.trials
+    if trials * (TRIAL_SETUP + a.rows + ones) > MAX_TRIAL_WORK:
+        shown = trials if trials < 10**18 else f"a {len(str(trials))}-digit number of"
+        raise CapacityError(
+            f"estimate supports trials * ({TRIAL_SETUP} + rows + ones) <= {MAX_TRIAL_WORK}, "
+            f"got {shown} trials on a {a.rows}x{a.cols} matrix with {ones} ones"
+        )
     stats = run_trials(a, method, args.trials, args.seed)
     record.put("mean", stats.mean)
     record.put("second-moment", stats.second_moment)
@@ -248,16 +262,12 @@ def cmd_estimate(args) -> tuple[ResultRecord, int]:
     except UndefinedRatioError:
         record.notes.append("empirical ratio undefined: sample mean is 0")
     try:
-        if method is Method.AMM:
-            exact = count_all_matchings(a)
-        else:
-            exact = permanent_ryser(a)
+        exact = TRIAL_MEAN[method](a)
         record.put("exact-value", exact)
         if exact:
             record.put("rel-error", abs(stats.mean - exact) / exact)
-        try:
-            record.put("exact-ratio", critical_ratio(a, method))
-        except UndefinedRatioError:
+            record.put("exact-ratio", Fraction(TRIAL_SECOND_MOMENT[method](a), exact**2))
+        else:
             record.notes.append("exact ratio undefined: mean is 0")
     except CapacityError as exc:
         record.notes.append(f"exact side skipped: {exc}")

@@ -31,6 +31,12 @@ from .streams import RandomStream
 # all-ones matrix, the worst case, takes about 0.13 s at 6x6 and 0.63 s at 7x7
 # (CPython 3.11, one core of a 2-vCPU Xeon).
 MAX_EQUIVALENCE_SIDE = 6
+# Most (output, probability) entries outcome_distribution holds over all its
+# memoized laws: 16 times the 4,095 of side-6 equivalence, its largest use in
+# the package.  ones(m, 2) under amm, whose entries grow like m^3, is admitted
+# up to m = 71 (0.37 s) and refused within about 0.4 s above that (one core of
+# a 2-vCPU Xeon).
+MAX_OUTCOME_ENTRIES = 2**16
 
 
 class Method(str, Enum):
@@ -45,20 +51,32 @@ def _nth_set_bit(mask: int, k: int) -> int:
     return mask & -mask
 
 
-def rm_trial(a: ZeroOneMatrix, stream: RandomStream) -> int:
-    """One perfect-matching estimate; unbiased for the permanent."""
-    if not a.is_square:
-        raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
+def _walk(a: ZeroOneMatrix, stream: RandomStream, skip: int) -> int:
+    """One trial with `skip` (0 or 1) skip branches per row.
+
+    Row by row, q = skip + |free 1-columns| and the output is multiplied by
+    q; pick = randbelow(q) - skip takes the pick-th free column, low first,
+    and a negative pick skips the row.  q = 0 ends the trial with output 0.
+    """
     avail = (1 << a.cols) - 1
     y = 1
     for mask in a.row_masks:
         choices = mask & avail
-        q = choices.bit_count()
+        q = choices.bit_count() + skip
         if q == 0:
             return 0
-        avail ^= _nth_set_bit(choices, stream.randbelow(q))
+        pick = stream.randbelow(q) - skip
+        if pick >= 0:
+            avail ^= _nth_set_bit(choices, pick)
         y *= q
     return y
+
+
+def rm_trial(a: ZeroOneMatrix, stream: RandomStream) -> int:
+    """One perfect-matching estimate; unbiased for the permanent."""
+    if not a.is_square:
+        raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
+    return _walk(a, stream, 0)
 
 
 def amm_trial(a: ZeroOneMatrix, stream: RandomStream) -> int:
@@ -68,16 +86,7 @@ def amm_trial(a: ZeroOneMatrix, stream: RandomStream) -> int:
     increasing index order.  Output is a positive integer at most
     (cols + 1) ** rows.
     """
-    avail = (1 << a.cols) - 1
-    y = 1
-    for mask in a.row_masks:
-        choices = mask & avail
-        q = choices.bit_count() + 1
-        pick = stream.randbelow(q)
-        if pick > 0:
-            avail ^= _nth_set_bit(choices, pick - 1)
-        y *= q
-    return y
+    return _walk(a, stream, 1)
 
 
 @dataclass(frozen=True)
@@ -141,8 +150,6 @@ def run_trials(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    if method is Method.RM and not a.is_square:
-        raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
     trial = rm_trial if method is Method.RM else amm_trial
     total = total_sq = 0
     for t in range(first_trial, first_trial + trials):
@@ -158,7 +165,8 @@ def outcome_distribution(a: ZeroOneMatrix, method: Method) -> dict[int, Fraction
     Walks the estimator's decision tree depth first with an explicit stack,
     memoized on (row, available columns), so tall inputs do not hit the
     recursion limit; probabilities are exact Fractions summing to 1.
-    Exponential in the worst case, intended for small matrices.
+    Exponential in the worst case, intended for small matrices: more than
+    MAX_OUTCOME_ENTRIES entries over all memoized laws raise CapacityError.
     """
     if method is Method.RM and not a.is_square:
         raise ShapeError(f"rm trials need a square matrix, got {a.rows}x{a.cols}")
@@ -171,6 +179,7 @@ def outcome_distribution(a: ZeroOneMatrix, method: Method) -> dict[int, Fraction
     # memo[i][avail]: distribution of the output of rows i.. given avail
     memo: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(m)]
     stack = [(0, full)]
+    entries = 0
     while stack:
         i, avail = stack[-1]
         if avail in memo[i]:
@@ -186,18 +195,24 @@ def outcome_distribution(a: ZeroOneMatrix, method: Method) -> dict[int, Fraction
         q = len(branches)
         if q == 0 or i + 1 == m:
             # rm found no column (output 0), or every branch ends the trial
-            memo[i][avail] = {q: Fraction(1)}
-            continue
-        below = memo[i + 1]
-        pending = [(i + 1, child) for child in branches if child not in below]
-        if pending:
-            stack += pending
-            continue
-        out: dict[int, Fraction] = {}
-        for child in branches:
-            for v, p in below[child].items():
-                key_v = q * v
-                out[key_v] = out.get(key_v, Fraction(0)) + p / q
+            out = {q: Fraction(1)}
+        else:
+            below = memo[i + 1]
+            pending = [(i + 1, child) for child in branches if child not in below]
+            if pending:
+                stack += pending
+                continue
+            out = {}
+            for child in branches:
+                for v, p in below[child].items():
+                    key_v = q * v
+                    out[key_v] = out.get(key_v, Fraction(0)) + p / q
+        entries += len(out)
+        if entries > MAX_OUTCOME_ENTRIES:
+            raise CapacityError(
+                f"outcome_distribution supports at most {MAX_OUTCOME_ENTRIES} "
+                f"outcome entries over its memoized laws, {a.rows}x{a.cols} needs more"
+            )
         memo[i][avail] = out
     return memo[0][full]
 

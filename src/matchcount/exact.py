@@ -261,18 +261,19 @@ def rm_trial_second_moment(a: ZeroOneMatrix) -> int:
     return _product(a, "rm_trial_second_moment", False, True)
 
 
+# Each estimator's exact trial mean and trial second moment, by method: amm
+# is unbiased for the total matching count, rm for the permanent.
+TRIAL_MEAN = {Method.AMM: count_all_matchings, Method.RM: permanent_ryser}
+TRIAL_SECOND_MOMENT = {Method.AMM: amm_trial_second_moment, Method.RM: rm_trial_second_moment}
+
+
 def critical_ratio(a: ZeroOneMatrix, method: Method) -> Fraction:
     """E[X^2] / E[X]^2 for one trial of the chosen estimator on a.
 
-    The mean of the skip-allowing estimator is the total matching count
-    (never zero); the mean of the perfect-matching estimator is the
-    permanent, and a zero permanent leaves the ratio undefined.
+    The amm mean, the total matching count, is never zero; a zero rm mean
+    (a zero permanent) leaves the ratio undefined.
     """
-    if method is Method.AMM:
-        mean = count_all_matchings(a)
-        return Fraction(amm_trial_second_moment(a), mean * mean)
-    second = rm_trial_second_moment(a)
-    mean = permanent_ryser(a)
+    mean = TRIAL_MEAN[method](a)
     if mean == 0:
         raise UndefinedRatioError("permanent is 0, critical ratio undefined")
-    return Fraction(second, mean * mean)
+    return Fraction(TRIAL_SECOND_MOMENT[method](a), mean * mean)

@@ -82,9 +82,6 @@ class ZeroOneMatrix:
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
         return (self.row_masks[i] >> j) & 1
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(mask >> j) & 1 for j in range(self.cols)] for mask in self.row_masks]
-
     def one_count(self) -> int:
         """Number of 1 entries (edges of the bipartite graph)."""
         return sum(mask.bit_count() for mask in self.row_masks)

@@ -145,6 +145,7 @@ def test_exact_rejects_wide_component(tmp_path, capsys):
         ("exact", "--random", "bernoulli:2:2:1e-9999999"),
         ("moments", "thm4", "--n", "1000000"),
         ("ratio-scan", "--n-range", "9" * 5000 + ":" + "9" * 5000),
+        ("estimate", "--random", "bernoulli:2:2:1/2", "--trials", "1000000000000"),
     ],
 )
 def test_boundary_errors_exit_cleanly(argv):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from matchcount import estimators
 from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble
 from matchcount.errors import CapacityError, DomainError, ShapeError
 from matchcount.estimators import (
@@ -64,6 +65,37 @@ def test_rm_trial_exact_on_permutation_matrix():
     assert all(rm_trial(a, RandomStream(0, t)) == 1 for t in range(20))
 
 
+def test_trial_outputs_pinned():
+    """Seeded outputs of both estimators, rm on a square matrix with dead
+    trials and amm on a rectangular one, fixed so a refactor of the trial
+    walk cannot move the streams."""
+    square = ZeroOneMatrix.from_rows([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0]])
+    assert [rm_trial(square, RandomStream(11, t)) for t in range(12)] == [
+        9, 12, 0, 12, 0, 0, 12, 6, 18, 6, 9, 12
+    ]
+    wide = ZeroOneMatrix.from_rows([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 0, 1]])
+    assert [amm_trial(wide, RandomStream(11, t)) for t in range(12)] == [
+        32, 48, 36, 48, 48, 64, 48, 48, 48, 48, 32, 48
+    ]
+
+
+def test_run_trials_calls_the_public_trial_once_per_trial(monkeypatch):
+    """Counting calls of amm_trial and rm_trial counts trials."""
+    calls = {"amm_trial": 0, "rm_trial": 0}
+    for name in calls:
+        trial = getattr(estimators, name)
+
+        def counted(a, stream, name=name, trial=trial):
+            calls[name] += 1
+            return trial(a, stream)
+
+        monkeypatch.setattr(estimators, name, counted)
+    a = ZeroOneMatrix.ones(3, 3)
+    run_trials(a, Method.AMM, 7, seed=1)
+    run_trials(a, Method.RM, 5, seed=1, first_trial=3)
+    assert calls == {"amm_trial": 7, "rm_trial": 5}
+
+
 def test_outcome_distribution_known():
     dist = outcome_distribution(ZeroOneMatrix.ones(2, 2), Method.AMM)
     assert dist == {9: Fraction(1, 3), 6: Fraction(2, 3)}
@@ -75,6 +107,14 @@ def test_outcome_distribution_has_no_recursion_limit():
     """Thousands of rows, one coin path each: output 1 with probability 1."""
     assert outcome_distribution(ZeroOneMatrix.identity(2000), Method.RM) == {1: Fraction(1)}
     assert outcome_distribution(ZeroOneMatrix.zeros(3000, 2), Method.AMM) == {1: Fraction(1)}
+
+
+def test_outcome_distribution_cap():
+    """ones(m, 2) under amm holds about m^3 / 5 entries: refused, quickly."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        outcome_distribution(ZeroOneMatrix.ones(400, 2), Method.AMM)
+    assert time.perf_counter() - start < 1
 
 
 def test_amm_unbiased_over_all_coin_paths():

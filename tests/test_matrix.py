@@ -19,7 +19,6 @@ def test_from_rows_and_entry():
     assert (a.rows, a.cols) == (2, 3)
     assert a.row_masks == (0b110, 0b001)
     assert [[a.entry(i, j) for j in range(3)] for i in range(2)] == [[0, 1, 1], [1, 0, 0]]
-    assert a.to_lists() == [[0, 1, 1], [1, 0, 0]]
     assert a.one_count() == 3
 
 
