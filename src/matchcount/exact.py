@@ -34,19 +34,31 @@ component on its narrower side, so width is min(rows, cols) of the
 component; the second moments describe estimators that walk the rows in
 input order, so they never transpose and width is the component's column
 count.  All arithmetic is Python int, so counts never overflow or round.
+
+The permanent is not swept: permanent_ryser evaluates Ryser's formula, so
+the permanent route checks the sweep with no mechanics in common.  It sums
+over row subsets and takes each class of m identical rows as "take s of
+them" with weight C(m, s), so with k rows that occur once it visits
+2^k * prod (m + 1) terms; on the route's 2n x 2n matrix that is 2^n (n + 1)
+rather than 2^(2n).
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .errors import CapacityError, ShapeError, UndefinedRatioError
+from .errors import (
+    CapacityError,
+    EquivalenceViolationError,
+    ShapeError,
+    UndefinedRatioError,
+)
 from .estimators import Method
 from .matrix import ZeroOneMatrix, build_transformed
 
 # A component's sweep holds up to 2^width states per layer; width 24 is the
 # point where a dense worst case stops fitting in desk-scale memory.
 MAX_SWEEP_WIDTH = 24
-# Ryser's formula walks all 2^n column subsets.
+# Ryser's formula visits up to 2^n terms, all of them when no row repeats.
 MAX_RYSER_COLS = 20
 # The permanent route builds a 2n x 2n matrix for Ryser.
 MAX_TRANSFORM_SIDE = MAX_RYSER_COLS // 2
@@ -184,11 +196,61 @@ def matching_profile(a: ZeroOneMatrix) -> MatchingProfile:
     return profile + [0] * (a.cols + 1 - len(profile))
 
 
-def permanent_ryser(a: ZeroOneMatrix) -> int:
-    """Permanent by Ryser's inclusion-exclusion over column subsets.
+def _cross(lines, n: int) -> list[int]:
+    """The n crossing lines of n lines: bit i of crossing line j is bit j of line i.
 
-    per(a) = sum over column subsets S of (-1)^(n - |S|) * prod_i |row_i & S|.
-    Square input, n <= MAX_RYSER_COLS (2^n subsets are visited).
+    Ryser's own transpose, zero lines kept.  The sweep transposes with
+    _transpose; were the two to share it, one fault in it could bend the
+    sweep and the permanent route alike, and the cross-check would pass.
+    """
+    out = [0] * n
+    for i, line in enumerate(lines):
+        bit = 1 << i
+        while line:
+            low = line & -line
+            out[low.bit_length() - 1] |= bit
+            line ^= low
+    return out
+
+
+def _classes(rows) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """(k, ordered, choices) of the grouped Ryser sum over the rows.
+
+    The rows are renumbered once: the k rows that occur once take bits
+    0..k-1, and each class of m identical rows follows.  choices holds one
+    (copies, weight) per way of taking s = 0..m rows from every class: the
+    class's first s, weighted C(m, s).
+    """
+    seen: dict[int, int] = {}
+    for row in rows:
+        seen[row] = seen.get(row, 0) + 1
+    ordered = [row for row in rows if seen[row] == 1]
+    k = len(ordered)
+    choices = [(0, 1)]
+    for row, m in seen.items():
+        if m > 1:
+            first = len(ordered)
+            ordered += [row] * m
+            choices = [
+                (copies | ((1 << s) - 1) << first, weight * comb(m, s))
+                for copies, weight in choices
+                for s in range(m + 1)
+            ]
+    return k, ordered, choices
+
+
+def permanent_ryser(a: ZeroOneMatrix) -> int:
+    """Permanent by Ryser's inclusion-exclusion, summed over classes of identical rows.
+
+    per(a) = per(a^T) = sum over row subsets S of (-1)^(n - |S|) *
+    prod_j |col_j & S|.  Identical rows are interchangeable: a term depends
+    only on how many copies s of a class of m identical rows S holds, so S
+    takes the class's first s copies, with weight C(m, s).  With k rows
+    that occur once, the sum visits 2^k * prod (m + 1) terms over the
+    classes; with no repeated row that is 2^n.  The doubled matrix
+    [[A, I], [J, J]] of the permanent route has n identical all-ones rows,
+    so it costs 2^n (n + 1) terms, not 2^(2n).  A zero line makes the
+    permanent 0.  Square input, n <= MAX_RYSER_COLS.
     """
     if not a.is_square:
         raise ShapeError(f"permanent needs a square matrix, got {a.rows}x{a.cols}")
@@ -199,18 +261,25 @@ def permanent_ryser(a: ZeroOneMatrix) -> int:
     n = a.rows
     if n == 0:
         return 1
-    masks = a.row_masks
+    k, rows, choices = _classes(a.row_masks)
+    cols = _cross(rows, n)
+    if 0 in rows or 0 in cols:
+        return 0
+    # sparse columns first, so that a zero factor ends a term sooner
+    cols.sort(key=int.bit_count)
     total = 0
-    for subset in range(1, 1 << n):
-        prod = 1
-        for mask in masks:
-            prod *= (mask & subset).bit_count()
-            if not prod:
-                break
-        if (n - subset.bit_count()) & 1:
-            total -= prod
-        else:
-            total += prod
+    for copies, weight in choices:
+        # copies has no bit below k, so low | copies is copies + low
+        for subset in range(copies, copies + (1 << k)):
+            prod = weight
+            for col in cols:
+                prod *= (col & subset).bit_count()
+                if not prod:
+                    break
+            if (n - subset.bit_count()) & 1:
+                total -= prod
+            else:
+                total += prod
     return total
 
 
@@ -220,6 +289,7 @@ def count_matchings_via_permanent(a: ZeroOneMatrix) -> int:
     Builds the 2n x 2n block form [[A, I], [J, J]], takes its permanent with
     Ryser, and divides by n!.  Exists as a second, structurally different
     route to the same number as count_all_matchings; n <= MAX_TRANSFORM_SIDE.
+    A permanent that n! does not divide raises EquivalenceViolationError.
     """
     if not a.is_square:
         raise ShapeError(f"permanent route needs a square matrix, got {a.rows}x{a.cols}")
@@ -228,9 +298,10 @@ def count_matchings_via_permanent(a: ZeroOneMatrix) -> int:
             f"permanent route supports n <= {MAX_TRANSFORM_SIDE}, got {a.rows}"
         )
     per = permanent_ryser(build_transformed(a))
-    nfact = factorial(a.rows)
-    assert per % nfact == 0, f"permanent {per} not divisible by {a.rows}!"
-    return per // nfact
+    count, rest = divmod(per, factorial(a.rows))
+    if rest:
+        raise EquivalenceViolationError(f"permanent {per} not divisible by {a.rows}!")
+    return count
 
 
 def amm_trial_second_moment(a: ZeroOneMatrix) -> int:

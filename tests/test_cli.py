@@ -161,6 +161,20 @@ def test_boundary_errors_exit_cleanly(argv):
     assert proc.stdout == ""
 
 
+def test_package_runs_as_a_module():
+    """python3 -m matchcount runs the command line from a source checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(matchcount.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchcount", "exact", "--random", "bernoulli:3:3:1/2",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["command"] == "exact"
+    assert record["flags"]["permanent-route-match"] is True
+
+
 def test_exact_out_file(tmp_path, capsys):
     out_path = tmp_path / "result.json"
     code, out, err = run_cli(

@@ -1,14 +1,21 @@
 """Exact counting: row sweep, brute-force agreement, permanent routes."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble
-from matchcount.errors import CapacityError, UndefinedRatioError
+import matchcount
+import matchcount.exact as exact
+from matchcount.cli import main
+from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble, sample_matrix
+from matchcount.errors import CapacityError, EquivalenceViolationError, UndefinedRatioError
 from matchcount.estimators import Method
 from matchcount.exact import (
     _sweep,
@@ -20,12 +27,13 @@ from matchcount.exact import (
     permanent_ryser,
     rm_trial_second_moment,
 )
-from matchcount.matrix import ZeroOneMatrix, build_transformed
+from matchcount.matrix import ZeroOneMatrix, build_transformed, write_matrix
 from matchcount.oracles import (
     brute_force_matching_count,
     brute_force_matching_profile,
     permanent_naive,
 )
+from matchcount.streams import RandomStream
 
 
 def all_matrices(m, n):
@@ -82,22 +90,77 @@ def test_matching_profile():
 
 
 def test_permanent_known_values():
+    """ones(n, n) is one class of n identical lines on both sides; identity(n)
+    has no repeated line, so it takes the full 2^n-term sum."""
     assert permanent_ryser(ZeroOneMatrix.zeros(0, 0)) == 1
-    assert permanent_ryser(ZeroOneMatrix.identity(4)) == 1
-    assert permanent_ryser(ZeroOneMatrix.ones(4, 4)) == math.factorial(4)
-    assert permanent_ryser(ZeroOneMatrix.ones(2, 2)) == 2
+    for n in range(21):
+        assert permanent_ryser(ZeroOneMatrix.ones(n, n)) == math.factorial(n)
+        assert permanent_ryser(ZeroOneMatrix.identity(n)) == 1
 
 
 def test_permanent_matches_naive_exhaustive():
+    """Every square matrix with n <= 3, and every doubled matrix with n <= 2,
+    whose n all-ones rows form one class of the grouped sum."""
     for n in range(4):
         for a in all_matrices(n, n):
             assert permanent_ryser(a) == permanent_naive(a)
+            if n <= 2:
+                b = build_transformed(a)
+                assert permanent_ryser(b) == permanent_naive(b)
 
 
 def test_count_via_permanent_route():
+    """Every square matrix with n <= 3, and seeded fair-coin ones of side 7
+    to 10, the route's cap."""
     for n in range(4):
         for a in all_matrices(n, n):
             assert count_matchings_via_permanent(a) == count_all_matchings(a)
+    for n in range(7, 11):
+        spec = EnsembleSpec(EnsembleKind.BERNOULLI, n, n, Fraction(1, 2))
+        for seed in range(2):
+            a = sample_matrix(spec, RandomStream(seed, n))
+            assert count_matchings_via_permanent(a) == count_all_matchings(a)
+
+
+def off_by_one_permanent(a):
+    """n! * count + 1 for a doubled matrix: a permanent n! cannot divide."""
+    n = a.rows // 2
+    top = ZeroOneMatrix(n, n, tuple(mask & ((1 << n) - 1) for mask in a.row_masks[:n]))
+    return math.factorial(n) * count_all_matchings(top) + 1
+
+
+def test_permanent_route_refuses_an_indivisible_permanent(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(exact, "permanent_ryser", off_by_one_permanent)
+    a = ZeroOneMatrix.ones(2, 2)
+    with pytest.raises(EquivalenceViolationError, match="not divisible by 2!"):
+        count_matchings_via_permanent(a)
+    path = tmp_path / "a.txt"
+    path.write_text(write_matrix(a), encoding="utf-8")
+    assert main(["exact", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: permanent 15 not divisible by 2!\n"
+    assert "Traceback" not in captured.err
+
+
+def test_permanent_route_refuses_an_indivisible_permanent_under_optimize():
+    """The divisibility check is not an assert, so python3 -O keeps it."""
+    script = (
+        "import matchcount.exact as exact\n"
+        "from matchcount.errors import EquivalenceViolationError\n"
+        "from matchcount.matrix import ZeroOneMatrix\n"
+        "exact.permanent_ryser = lambda a: 2 * 7 + 1\n"
+        "try:\n"
+        "    exact.count_matchings_via_permanent(ZeroOneMatrix.ones(2, 2))\n"
+        "except EquivalenceViolationError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(matchcount.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "permanent 15 not divisible by 2!\n"
 
 
 def test_transformed_permanent_identity():
@@ -234,6 +297,34 @@ def matrices(draw, max_side=3, square=False):
     n = m if square else draw(st.integers(0, max_side))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
     return ZeroOneMatrix(m, n, tuple(masks))
+
+
+@st.composite
+def repeated_lines(draw):
+    """An n x n matrix (n <= 7) whose rows, columns or both repeat: entry
+    (i, j) is base[row_of[i]][col_of[j]] for a smaller base matrix."""
+    n = draw(st.integers(1, 7))
+    repeat = draw(st.sampled_from(["rows", "cols", "both"]))
+    r = draw(st.integers(1, n)) if repeat != "cols" else n
+    c = draw(st.integers(1, n)) if repeat != "rows" else n
+    base = draw(st.lists(st.integers(0, (1 << c) - 1), min_size=r, max_size=r))
+    row_of = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)) if r < n else range(n)
+    col_of = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)) if c < n else range(n)
+    masks = tuple(
+        sum(1 << j for j, src in enumerate(col_of) if base[i] >> src & 1) for i in row_of
+    )
+    return ZeroOneMatrix(n, n, masks)
+
+
+@DETERMINISTIC
+@given(repeated_lines())
+def test_grouped_ryser_on_repeated_lines(a):
+    """Classes of identical rows or columns, and the transpose, which moves
+    them to the other side, against the permutation sum."""
+    at = ZeroOneMatrix.from_rows(
+        [[a.entry(i, j) for i in range(a.rows)] for j in range(a.cols)]
+    )
+    assert permanent_ryser(a) == permanent_ryser(at) == permanent_naive(a)
 
 
 @DETERMINISTIC
