@@ -113,6 +113,15 @@ class EnsembleSpec:
         return self.n, self.n
 
 
+def _place_ones(n: int, cells) -> ZeroOneMatrix:
+    """The n x n matrix with a one in each given cell; cell c is row c // n,
+    column c % n."""
+    masks = [0] * n
+    for c in cells:
+        masks[c // n] |= 1 << (c % n)
+    return ZeroOneMatrix(n, n, tuple(masks))
+
+
 def sample_matrix(spec: EnsembleSpec, stream: RandomStream) -> ZeroOneMatrix:
     """Draw one matrix from the ensemble using the given stream.
 
@@ -147,10 +156,7 @@ def sample_matrix(spec: EnsembleSpec, stream: RandomStream) -> ZeroOneMatrix:
     for i in range(m):
         j = i + stream.randbelow(n * n - i)
         cells[i], cells[j] = cells[j], cells[i]
-    masks = [0] * n
-    for c in cells[:m]:
-        masks[c // n] |= 1 << (c % n)
-    return ZeroOneMatrix(n, n, tuple(masks))
+    return _place_ones(n, cells[:m])
 
 
 def support_size(spec: EnsembleSpec) -> int:
@@ -194,10 +200,7 @@ def enumerate_ensemble(spec: EnsembleSpec):
         )
     n = spec.n
     for chosen in itertools.combinations(range(n * n), spec.m):
-        masks = [0] * n
-        for c in chosen:
-            masks[c // n] |= 1 << (c % n)
-        yield ZeroOneMatrix(n, n, tuple(masks))
+        yield _place_ones(n, chosen)
 
 
 def matrix_probability(spec: EnsembleSpec, a: ZeroOneMatrix) -> Fraction:

@@ -1,10 +1,10 @@
 """Reference implementations, deliberately naive and independent.
 
 These exist to cross-check the production algorithms, so they must not share
-their mechanics.  The matching counters here enumerate matchings one by one
-as explicit edge subsets (no memoization, no row recursion); the permanent
-here is the permutation-sum definition.  Costs are exponential; keep inputs
-small.
+their mechanics.  One recursion enumerates matchings one by one as explicit
+edge subsets (no memoization, no row recursion) and tallies them by size;
+the count is the sum of that profile.  The permanent here is the
+permutation-sum definition.  Costs are exponential; keep inputs small.
 """
 
 from itertools import permutations
@@ -17,29 +17,17 @@ def _edges(a: ZeroOneMatrix) -> list[tuple[int, int]]:
 
 
 def brute_force_matching_count(a: ZeroOneMatrix) -> int:
-    """Count matchings by constructing each one exactly once.
-
-    Walks edge subsets in increasing index order, extending only with edges
-    that conflict with nothing chosen so far.  Every matching (the empty one
-    included) is visited exactly once, so the visit count is the answer.
-    """
-    edges = _edges(a)
-    count = 0
-
-    def extend(start: int, used_rows: int, used_cols: int):
-        nonlocal count
-        count += 1
-        for t in range(start, len(edges)):
-            r, c = edges[t]
-            if not (used_rows >> r) & 1 and not (used_cols >> c) & 1:
-                extend(t + 1, used_rows | (1 << r), used_cols | (1 << c))
-
-    extend(0, 0, 0)
-    return count
+    """Count matchings: the sum of the brute-force profile over all sizes."""
+    return sum(brute_force_matching_profile(a))
 
 
 def brute_force_matching_profile(a: ZeroOneMatrix) -> list[int]:
-    """Count matchings by size; entry k is the number of k-edge matchings."""
+    """Count matchings by size; entry k is the number of k-edge matchings.
+
+    Walks edge subsets in increasing index order, extending only with edges
+    that conflict with nothing chosen so far.  Every matching (the empty one
+    included) is constructed exactly once and tallied under its size.
+    """
     edges = _edges(a)
     counts = [0] * (a.cols + 1)
 

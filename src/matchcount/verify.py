@@ -6,11 +6,16 @@ ensemble enumeration, coin-path law vs exact count and second moment) and
 fails loudly with the offending matrix (or formula grid point) in the
 detail, so a corrupted build points straight at a counterexample.
 
+Every check is one `_each` call: a compare function run over a stream of
+cases.  The first mismatch, or the first exception a route raises, fails
+that check with the case as counterexample, and the suite goes on to the
+next check.
+
 Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
 "full" adds the 4x4 exhaustive sweep, the transform equivalence on every
-3x3 matrix, random 8x8 ratio-bound checks, the peak sandwich up to n = 100,
-the disjoint-union factorisation of count and profile, and the exact
-crossover of the ensemble ratio at n = 357.
+3x3 matrix, random 8x8 ratio-bound checks, the peak sandwich
+peak <= mean <= n peak up to n = 100, the disjoint-union factorisation of
+count and profile, and the exact crossover of the ensemble ratio at n = 357.
 
 Production routes and oracles are looked up by module-global name when a
 check runs, so a patched or wrapped function is the one checked.
@@ -19,10 +24,10 @@ check runs, so a patched or wrapped function is the one checked.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from .ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble, sample_matrix
-from .errors import EquivalenceViolationError
 from .estimators import (
     Method,
     outcome_distribution,
@@ -59,7 +64,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed_ms: float = 0.0
+    elapsed_ms: float
 
 
 def _bernoulli_half(m: int, n: int) -> EnsembleSpec:
@@ -79,16 +84,25 @@ def _fair_coin_matrices(shapes):
 
 
 def _each(name: str, cases, compare, noun: str) -> CheckResult:
-    """compare(case) returns a mismatch message or a false value; the first
-    message fails the check with str(case) as counterexample (a matrix's
-    str is its text format), else the detail is "N <noun>"."""
-    seen = 0
+    """Run compare over cases and time the loop.  compare(case) returns a
+    mismatch message or a false value; the first message, or the first
+    exception compare raises, fails the check with str(case) as
+    counterexample (a matrix's str is its text format), else the detail is
+    "N <noun>".  Only Exception is caught, so KeyboardInterrupt still stops
+    the suite."""
+    start = time.perf_counter()
+    seen, failure = 0, None
     for case in cases:
-        message = compare(case)
+        try:
+            message = compare(case)
+        except Exception as exc:
+            message = f"{type(exc).__name__}: {exc}"
         if message:
-            return CheckResult(name, False, f"{message}; counterexample:\n{case}")
+            failure = f"{message}; counterexample:\n{case}"
+            break
         seen += 1
-    return CheckResult(name, True, f"{seen} {noun}")
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return CheckResult(name, failure is None, failure or f"{seen} {noun}", elapsed)
 
 
 def check_count_vs_enumeration(shapes=_SMALL_SHAPES) -> CheckResult:
@@ -178,10 +192,7 @@ def check_transformed_equivalence(shapes=_SQUARES[1:3]) -> CheckResult:
     """Exact law equality of amm-on-A and scaled rm-on-transformed, exhaustive."""
 
     def compare(a):
-        try:
-            transformed_equivalence_check(a)
-        except EquivalenceViolationError as exc:
-            return str(exc)
+        transformed_equivalence_check(a)  # raises EquivalenceViolationError on a mismatch
 
     matrices = _fair_coin_matrices(shapes)
     return _each("transformed-equivalence", matrices, compare, "matrices equivalent")
@@ -227,7 +238,7 @@ def check_component_product() -> CheckResult:
 
     Each of 150 samples draws two fair-coin blocks of random shape up to 4x4 and
     interleaves their rows in a block-diagonal union; the expected values
-    come from enumerating each block on its own.
+    come from enumerating each block's profile once, on its own.
     """
     shapes = RandomStream(_SEED, 0)
     pairs = (
@@ -244,11 +255,11 @@ def check_component_product() -> CheckResult:
     def compare(blocks):
         a, b = blocks
         union = _interleaved_union(a, b)
-        expect = brute_force_matching_count(a) * brute_force_matching_count(b)
+        pa, pb = brute_force_matching_profile(a), brute_force_matching_profile(b)
+        expect = sum(pa) * sum(pb)
         got = count_all_matchings(union)
         if got != expect:
             return f"union count {got}, product of the blocks {expect}"
-        pa, pb = brute_force_matching_profile(a), brute_force_matching_profile(b)
         expect = [
             sum(pa[i] * pb[k - i] for i in range(len(pa)) if 0 <= k - i < len(pb))
             for k in range(len(pa) + len(pb) - 1)
@@ -352,18 +363,15 @@ def check_ratio_crossover() -> CheckResult:
 
 
 def check_peak_sandwich() -> CheckResult:
-    """peak <= mean <= (n+1) peak for square fair-coin means, 2 <= n <= 100;
-    n*peak recorded."""
-    name = "peak-sandwich"
-    n_peak_fails = []
-    for n in range(2, 101):
-        bounds = mean_matchings_bounds(n)
-        if not (bounds.peak_le_mean and bounds.mean_le_upper):
-            return CheckResult(name, False, f"sandwich fails at n={n}: {bounds}")
-        if not bounds.mean_le_n_peak:
-            n_peak_fails.append(n)
-    note = f"n*peak exceeded at n in {n_peak_fails}" if n_peak_fails else "n*peak held throughout"
-    return CheckResult(name, True, f"sandwich holds for 2 <= n <= 100; {note}")
+    """peak <= mean <= n peak <= (n+1) peak for square fair-coin means, 2 <= n <= 100."""
+
+    def compare(n):
+        b = mean_matchings_bounds(n)
+        held = b.peak_le_mean and b.mean_le_n_peak and b.mean_le_upper
+        return not held and f"sandwich {b} fails at n"
+
+    noun = "values of n: peak <= mean <= n*peak <= (n+1)*peak"
+    return _each("peak-sandwich", range(2, 101), compare, noun)
 
 
 def check_matrix_roundtrip() -> CheckResult:
@@ -386,18 +394,20 @@ def check_matrix_roundtrip() -> CheckResult:
 
 def check_trial_determinism() -> CheckResult:
     """run_trials over uneven disjoint ranges merges to the one-run stats."""
-    name = "trial-determinism"
     a = ZeroOneMatrix.ones(4, 4)
-    base = run_trials(a, Method.AMM, 400, seed=7)
-    merged = (
-        run_trials(a, Method.AMM, 150, seed=7)
-        + run_trials(a, Method.AMM, 1, seed=7, first_trial=150)
-        + run_trials(a, Method.AMM, 249, seed=7, first_trial=151)
-    )
-    ranges = "ranges 0..150, 150..151, 151..400"
-    if merged != base:
-        return CheckResult(name, False, f"merged {ranges} disagree with one run")
-    return CheckResult(name, True, f"{ranges} merge to the one-run stats")
+
+    def compare(split):
+        first, second, third = split
+        merged = (
+            run_trials(a, Method.AMM, first, seed=7)
+            + run_trials(a, Method.AMM, second, seed=7, first_trial=first)
+            + run_trials(a, Method.AMM, third, seed=7, first_trial=first + second)
+        )
+        base = run_trials(a, Method.AMM, sum(split), seed=7)
+        return merged != base and "merged ranges disagree with one run"
+
+    noun = "split of 400 trials, ranges 0..150, 150..151, 151..400, merges to the one-run stats"
+    return _each("trial-determinism", [(150, 1, 249)], compare, noun)
 
 
 SMALL_CHECKS = [
@@ -418,17 +428,9 @@ SMALL_CHECKS = [
 ]
 
 
-def _check_count_4x4() -> CheckResult:
-    return check_count_vs_enumeration(shapes=[(4, 4)])
-
-
-def _check_equivalence_3x3() -> CheckResult:
-    return check_transformed_equivalence(shapes=[(3, 3)])
-
-
 FULL_EXTRAS = [
-    _check_count_4x4,
-    _check_equivalence_3x3,
+    partial(check_count_vs_enumeration, shapes=[(4, 4)]),
+    partial(check_transformed_equivalence, shapes=[(3, 3)]),
     check_ratio_bound_random,
     check_peak_sandwich,
     check_component_product,
@@ -440,11 +442,4 @@ def run_suite(tier: str = "small") -> list[CheckResult]:
     """Run one tier ("small" or "full") and return per-check results with timing."""
     if tier not in ("small", "full"):
         raise ValueError(f"unknown tier {tier!r}, expected 'small' or 'full'")
-    checks = SMALL_CHECKS + (FULL_EXTRAS if tier == "full" else [])
-    results = []
-    for check in checks:
-        start = time.perf_counter()
-        result = check()
-        elapsed = (time.perf_counter() - start) * 1000.0
-        results.append(CheckResult(result.name, result.passed, result.detail, elapsed))
-    return results
+    return [check() for check in SMALL_CHECKS + (FULL_EXTRAS if tier == "full" else [])]

@@ -360,6 +360,28 @@ def test_verify_reports_counterexample(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_reports_a_raising_route_and_goes_on(monkeypatch, capsys):
+    """A route that raises fails its own check with a counterexample; the
+    other checks still run and pass."""
+    real = matchcount.exact.permanent_ryser
+    monkeypatch.setattr(
+        matchcount.exact,
+        "permanent_ryser",
+        lambda a: real(a) + 1 if (a.rows, a.cols) == (4, 4) else real(a),
+    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "small", "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "status", "ms", "detail"]
+    assert len(rows) == 15  # header + 14 checks
+    failed = [row for row in rows[1:] if row[1] != "pass"]
+    assert [row[:2] for row in failed] == [["permanent-route", "FAIL"]]
+    detail = failed[0][3]
+    assert "EquivalenceViolationError" in detail
+    counterexample = read_matrix(detail.split("counterexample:\n", 1)[1])
+    assert (counterexample.rows, counterexample.cols) == (2, 2)
+
+
 def test_ratio_scan_csv(capsys):
     code, out, err = run_cli(
         capsys, "ratio-scan", "--n-range", "1:6", "--format", "csv"
