@@ -106,8 +106,9 @@ class MeanBounds:
 
     The mean equals (n!)^2 / 2^n times a sum of n+1 positive terms b_k whose
     largest is b_kstar; peak = (n!)^2 / 2^n * b_kstar.  peak <= mean <=
-    (n+1) * peak always; mean <= n * peak does not always hold (it already
-    fails at n = 1), so it is recorded per n rather than asserted.
+    (n+1) * peak always.  mean <= n * peak fails at n = 1, so the record
+    carries it per n; verify's peak-sandwich check asserts it for
+    2 <= n <= 100.
     """
 
     n: int

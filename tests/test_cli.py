@@ -175,6 +175,28 @@ def test_package_runs_as_a_module():
     assert record["flags"]["permanent-route-match"] is True
 
 
+def test_only_verify_loads_the_check_modules():
+    """A fresh import of the command line leaves verify and oracles unloaded,
+    so exact, estimate and moments never compile them; verify itself still
+    loads them and passes its 14 small checks."""
+    env = dict(os.environ, PYTHONPATH=str(Path(matchcount.__file__).parents[1]))
+    probe = (
+        "import sys, matchcount.cli; "
+        "print(sorted(m for m in ('matchcount.verify', 'matchcount.oracles') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchcount", "verify", "--suite", "small", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert [row[1] for row in rows[1:]] == ["pass"] * 14
+
+
 def test_exact_out_file(tmp_path, capsys):
     out_path = tmp_path / "result.json"
     code, out, err = run_cli(

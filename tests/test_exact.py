@@ -18,6 +18,10 @@ from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble,
 from matchcount.errors import CapacityError, EquivalenceViolationError, UndefinedRatioError
 from matchcount.estimators import Method
 from matchcount.exact import (
+    _lane_bits,
+    _packed_sweep,
+    _packing,
+    _popcount_sums,
     _sweep,
     amm_trial_second_moment,
     count_all_matchings,
@@ -418,3 +422,141 @@ def test_factorised_sweep_matches_whole_sweep_exhaustive():
                     )
                 seen += 1
     assert seen == 9427
+
+
+def packed_quantities(masks, width, c):
+    """Count, profile and amm moment of one packed sweep over masks, c low
+    columns per int, with no component split."""
+    b = _lane_bits(masks, False)
+    layer = _packed_sweep(masks, b, c, False)
+    bw = _lane_bits(masks, True)
+    return (
+        sum(layer.values()) % ((1 << b) - 1),
+        _popcount_sums(layer, width, b, c),
+        sum(_packed_sweep(masks, bw, c, True).values()) % ((1 << bw) - 1),
+    )
+
+
+def dict_quantities(a):
+    profile = whole_profile(a)
+    return sum(profile), profile, sum(whole_sweep(a, True, True).values())
+
+
+def test_packed_layer_matches_dict_layer_exhaustive():
+    """Every fair-coin matrix with m, n <= 4, 0 x n and m x 0 included: the
+    packed layer gives the dict's count, profile and amm moment, with the
+    number c of low columns per int cycling through 0 .. n.  Public calls
+    this small never pack."""
+    seen = 0
+    for m in range(5):
+        for n in range(5):
+            for i, a in enumerate(all_matrices(m, n)):
+                assert packed_quantities(a.row_masks, n, i % (n + 1)) == dict_quantities(a)
+                seen += 1
+    assert seen == sum(2 ** (m * n) for m in range(5) for n in range(5))
+
+
+@DETERMINISTIC
+@given(matrices(max_side=9), st.data())
+def test_packed_layer_matches_dict_layer(a, data):
+    """Shapes up to 10x10 with a zero row and a zero column, any number c of
+    low columns per int."""
+    z = insert_zero_line(a, data.draw(st.integers(0, a.rows)), data.draw(st.integers(0, a.cols)))
+    c = data.draw(st.integers(0, z.cols))
+    assert packed_quantities(z.row_masks, z.cols, c) == dict_quantities(z)
+
+
+def test_packed_lane_width_at_a_lane_boundary():
+    """identity(8) swept whole has 2^8 = 256 matchings.  Its lanes each hold
+    1, so 8-bit lanes would hold them, but not the total: 256 mod 255 = 1."""
+    rows = ZeroOneMatrix.identity(8).row_masks
+    b = _lane_bits(rows, False)
+    assert b == 16
+    for c in (0, 4, 8):
+        assert sum(_packed_sweep(rows, b, c, False).values()) % ((1 << b) - 1) == 256
+    assert sum(_packed_sweep(rows, 8, 8, False).values()) % 255 == 1
+
+
+def bidiagonal(n):
+    """n x n, row i with ones at columns i and i + 1: a path on 2n vertices."""
+    return ZeroOneMatrix(n, n, tuple((0b11 << i) & ((1 << n) - 1) for i in range(n)))
+
+
+def fair_coin(m, n, seed):
+    spec = EnsembleSpec(EnsembleKind.BERNOULLI, m, n, Fraction(1, 2))
+    return sample_matrix(spec, RandomStream(seed, 0))
+
+
+def test_packing_rule():
+    """Packed only for skip sweeps wider than DICT_MAX_WIDTH with lanes of at
+    most MAX_LANE_BITS whose two layers fit PACKED_BYTES: the band of side
+    24 fits, a fair-coin 24x24 does not, and the amm lanes of a 3000-row
+    component are too wide."""
+    ones5 = list(ZeroOneMatrix.ones(5, 5).row_masks)
+    assert _packing(5, ones5, True, False) == _lane_bits(ones5, False) == 16
+    assert _packing(5, ones5, True, True) == _lane_bits(ones5, True) == 32
+    assert _packing(4, ones5[:4], True, False) == 0
+    assert _packing(5, ones5, False, True) == 0
+    tall = [0b11111] * 3000
+    assert _packing(5, tall, True, False) == _lane_bits(tall, False) == 64
+    assert _lane_bits(tall, True) > exact.MAX_LANE_BITS
+    assert _packing(5, tall, True, True) == 0
+    band = list(bidiagonal(24).row_masks)
+    assert _packing(24, band, True, False) == 40
+    dense = list(fair_coin(24, 24, 0).row_masks)
+    assert _lane_bits(dense, False) << 24 > 4 * exact.PACKED_BYTES
+    assert _packing(24, dense, True, False) == 0
+
+
+def test_over_budget_components_take_the_dict(monkeypatch):
+    """With no byte budget every component takes the dict, with the same results."""
+    inputs = [fair_coin(m, n, 1) for m, n in ((6, 6), (9, 7), (5, 12))]
+
+    def quantities(a):
+        return count_all_matchings(a), matching_profile(a), amm_trial_second_moment(a)
+
+    def refuse(*args):
+        raise AssertionError("packed sweep over the budget")
+
+    want = [quantities(a) for a in inputs]
+    monkeypatch.setattr(exact, "PACKED_BYTES", 0)
+    monkeypatch.setattr(exact, "_packed_sweep", refuse)
+    assert [quantities(a) for a in inputs] == want
+
+
+def test_all_ones_profile_closed_form():
+    """profile(ones(m, n))_k = C(m, k) C(n, k) k!, up to ones(14, 20), where no
+    oracle reaches; also behind a zero row and column, so that the
+    component's columns do not start at 0."""
+    for m in range(15):
+        for n in range(m, 21, 3 if m < 12 else 1):
+            want = [math.comb(m, k) * math.comb(n, k) * math.factorial(k) for k in range(n + 1)]
+            assert matching_profile(ZeroOneMatrix.ones(m, n)) == want
+            assert matching_profile(ZeroOneMatrix.ones(n, m)) == want[: m + 1]
+            shifted = insert_zero_line(ZeroOneMatrix.ones(n, m), 0, 0)
+            assert matching_profile(shifted) == want[: m + 1] + [0]
+
+
+def test_bidiagonal_band_counts_are_fibonacci():
+    """The band's graph is a path on 2n vertices, so it has F(2n + 1) matchings,
+    for every n up to the 24-column cap."""
+    fib = [0, 1]
+    while len(fib) < 50:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(25):
+        assert count_all_matchings(bidiagonal(n)) == fib[2 * n + 1]
+
+
+def test_newton_inequalities_on_fair_coin_profiles():
+    """The matching polynomial has only real roots (Heilmann and Lieb, 1972),
+    so r_k^2 k (nu - k) >= r_(k-1) r_(k+1) (k + 1) (nu - k + 1) for 0 < k < nu,
+    nu the largest k with r_k > 0."""
+    checked = 0
+    for m in range(1, 13):
+        for n in range(1, 13):
+            r = matching_profile(fair_coin(m, n, m * 13 + n))
+            nu = max(k for k, x in enumerate(r) if x)
+            for k in range(1, nu):
+                assert r[k] ** 2 * k * (nu - k) >= r[k - 1] * r[k + 1] * (k + 1) * (nu - k + 1)
+                checked += 1
+    assert checked > 400
