@@ -53,7 +53,7 @@ from .moments import (
     second_moment_diag_lower_bound,
     to_decimal,
 )
-from .streams import RandomStream
+from .streams import STREAM_VERSION, RandomStream
 
 # Matrices sampled for the CLI use this reserved stream so that trial streams
 # (ids 0 .. trials-1) never overlap it.
@@ -71,10 +71,12 @@ MAX_N = {"thm3": 4000, "thm4": 2000, "thm5": 4000, "thm6": 2000, "thm7": 400,
          "thm8-mean": 200, "thm8-m2": 40, "ratio-scan": 700}
 
 # estimate refuses trials * (TRIAL_SETUP + rows + ones) above MAX_TRIAL_WORK
-# before the first trial.  A trial builds one stream, which costs about as
-# much as TRIAL_SETUP rows, then makes one draw per row and clears at most one
-# bit per 1-entry.  The slowest admitted cases, a 0x0 matrix or all-zero rows,
-# took 4-6 s on one core of a 2-vCPU Xeon.
+# before the first trial.  A trial builds one stream and hashes at most one
+# block per 512 bits it draws, then makes one draw per row and clears at most
+# one bit per 1-entry.  On one core of a 2-vCPU Xeon (Python 3.11) a row
+# costs about 0.2 us and a trial's fixed cost less than 10 rows, so
+# TRIAL_SETUP = 20 over-counts it: the slowest admitted case, 1000 all-zero
+# rows, took 1.6-1.8 s, and a 0x0 matrix 0.15 s.
 TRIAL_SETUP = 20
 MAX_TRIAL_WORK = 8 * 10**6
 
@@ -218,6 +220,7 @@ def cmd_exact(args) -> tuple[ResultRecord, int]:
     record = ResultRecord("exact")
     if args.input is None:
         record.params["seed"] = str(args.seed)
+        record.params["stream"] = str(STREAM_VERSION)
     a = _load_matrix(args, record)
     profile = matching_profile(a)
     count = sum(profile)
@@ -240,6 +243,7 @@ def cmd_estimate(args) -> tuple[ResultRecord, int]:
         raise DomainError(f"workers must be >= 1, got {args.workers}")
     record = ResultRecord("estimate")
     record.params["seed"] = str(args.seed)
+    record.params["stream"] = str(STREAM_VERSION)
     a = _load_matrix(args, record)
     method = Method(args.method)
     record.params["method"] = method.value

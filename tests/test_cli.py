@@ -19,6 +19,7 @@ from matchcount.cli import main
 from matchcount.exact import count_all_matchings
 from matchcount.matrix import read_matrix, write_matrix, ZeroOneMatrix
 from matchcount.moments import bernoulli_mean_matchings, majority_tail
+from matchcount.streams import STREAM_VERSION
 
 
 def run_cli(capsys, *argv):
@@ -239,8 +240,22 @@ def test_estimate_readme_example_pins_the_streams(capsys):
     for extra in ((), ("--workers", "4")):
         code, record = run_json(capsys, *argv, *extra)
         assert code == 0
-        assert record["values"]["mean"] == "1003193733/400"
-        assert record["values"]["exact-value"] == "2514288"
+        assert record["values"]["mean"] == "49366501681/20000"
+        assert record["values"]["exact-value"] == "2459132"
+
+
+def test_records_name_the_stream_version(tmp_path, capsys):
+    """Every record whose values come from a stream says which stream."""
+    path = write_ones_2x2(tmp_path)
+    for argv in (
+        ("estimate", "--random", "bernoulli:3:3:1/2", "--trials", "5"),
+        ("estimate", "--input", path, "--trials", "5"),
+        ("exact", "--random", "bernoulli:3:3:1/2"),
+    ):
+        _, record = run_json(capsys, *argv)
+        assert record["params"]["stream"] == str(STREAM_VERSION) == "2"
+    _, record = run_json(capsys, "exact", "--input", path)
+    assert "stream" not in record["params"]
 
 
 def test_estimate_reproducible_from_echoed_params(capsys):

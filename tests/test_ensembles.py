@@ -17,7 +17,8 @@ from matchcount.ensembles import (
 )
 from matchcount.errors import CapacityError, DomainError
 from matchcount.matrix import ZeroOneMatrix
-from matchcount.streams import RandomStream
+from matchcount.cli import SAMPLING_STREAM
+from matchcount.streams import BLOCK_BITS, RandomStream
 
 
 def test_parse_bernoulli():
@@ -201,3 +202,87 @@ def test_stream_determinism_and_independence():
     assert a != c
     with pytest.raises(ValueError):
         RandomStream(0, 0).randbelow(0)
+
+
+class SubstitutedBlocks(RandomStream):
+    """A stream whose blocks are given, recording which ones it asked for."""
+
+    def __init__(self, blocks):
+        super().__init__(0, 0)
+        self.blocks = blocks
+        self.asked = []
+
+    def _block(self, i):
+        self.asked.append(i)
+        return self.blocks[i]
+
+
+class CountedBlocks(RandomStream):
+    """The real stream, recording which blocks it hashed."""
+
+    def __init__(self, seed, stream_id):
+        super().__init__(seed, stream_id)
+        self.asked = []
+
+    def _block(self, i):
+        self.asked.append(i)
+        return super()._block(i)
+
+
+def test_stream_rejection_accepts_each_value_below_bound_once():
+    """Every k-bit chunk, fed highest value first: the values >= bound are
+    all rejected and each r < bound comes out once, as itself, so draws are
+    exactly uniform whenever the bits are."""
+    for bound in range(1, 65):
+        k = (bound - 1).bit_length()
+        chunks = range(2**k - 1, -1, -1)
+        assert k * len(chunks) <= BLOCK_BITS
+        block = sum(v << (k * j) for j, v in enumerate(chunks))
+        stream = SubstitutedBlocks([block])
+        assert [stream.randbelow(bound) for _ in range(bound)] == list(range(bound - 1, -1, -1))
+        assert stream.asked == ([0] if k else [])
+
+
+def test_stream_draw_across_blocks_replays():
+    bound = 2**600 + 1
+    stream = CountedBlocks(3, 5)
+    x = stream.randbelow(bound)
+    assert stream.asked == [0, 1]
+    # this draw is accepted at once: the low 601 bits of blocks 0 and 1
+    pool = RandomStream(3, 5)._block(0) | RandomStream(3, 5)._block(1) << BLOCK_BITS
+    assert x == pool & ((1 << 601) - 1) < bound
+    fresh = RandomStream(3, 5)
+    assert fresh.randbelow(bound) == x
+    assert fresh.randbelow(bound) == stream.randbelow(bound)
+
+
+def test_stream_randbelow_one_takes_no_bits():
+    stream = CountedBlocks(5, 9)
+    assert [stream.randbelow(1) for _ in range(3)] == [0, 0, 0]
+    assert stream.asked == []
+    fresh = RandomStream(5, 9)
+    assert stream.randbelow(1000) == fresh.randbelow(1000)
+    stream.randbelow(1)
+    assert stream.randbelow(2**40) == fresh.randbelow(2**40)
+
+
+def test_stream_keys_are_unambiguous():
+    draws = {
+        key: [RandomStream(*key).randbelow(2**64) for _ in range(2)]
+        for key in ((1, 23), (12, 3), (123, 0), (-1, 23))
+    }
+    assert len({tuple(d) for d in draws.values()}) == len(draws)
+
+
+def test_stream_first_draws_pinned():
+    """Any change to the stream's bits, their order or the rejection moves
+    these (stream version 2)."""
+    bounds = (2, 6, 1000, 2**64)
+    pinned = {
+        (0, 0): [1, 1, 508, 16855577202493577052],
+        (4, SAMPLING_STREAM): [0, 2, 793, 4710939701553050784],
+        (-3, 12): [0, 1, 537, 4732468730680597330],
+    }
+    for key, first in pinned.items():
+        stream = RandomStream(*key)
+        assert [stream.randbelow(b) for b in bounds] == first

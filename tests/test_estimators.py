@@ -71,11 +71,21 @@ def test_trial_outputs_pinned():
     walk cannot move the streams."""
     square = ZeroOneMatrix.from_rows([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0]])
     assert [rm_trial(square, RandomStream(11, t)) for t in range(12)] == [
-        9, 12, 0, 12, 0, 0, 12, 6, 18, 6, 9, 12
+        0, 9, 12, 9, 12, 0, 0, 6, 12, 0, 12, 6
     ]
     wide = ZeroOneMatrix.from_rows([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 0, 1]])
     assert [amm_trial(wide, RandomStream(11, t)) for t in range(12)] == [
-        32, 48, 36, 48, 48, 64, 48, 48, 48, 48, 32, 48
+        48, 64, 36, 64, 48, 48, 64, 36, 48, 48, 48, 36
+    ]
+
+
+def test_amm_zero_rows_draw_nothing():
+    """A row with no free 1-column has only the skip branch, so it neither
+    changes the output nor moves the stream."""
+    a = ZeroOneMatrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    padded = ZeroOneMatrix.from_rows([[0, 0, 0], [1, 0, 1], [0, 0, 0], [1, 1, 0], [0, 1, 1]])
+    assert [amm_trial(padded, RandomStream(8, t)) for t in range(40)] == [
+        amm_trial(a, RandomStream(8, t)) for t in range(40)
     ]
 
 
