@@ -470,6 +470,10 @@ def main(argv=None) -> int:
     except (MatchcountError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # raised with no message; the layers it held are gone once it lands here
+        print("error: out of memory", file=sys.stderr)
+        return 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

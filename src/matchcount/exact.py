@@ -35,37 +35,41 @@ component; the second moments describe estimators that walk the rows in
 input order, so they never transpose and width is the component's column
 count.  All arithmetic is Python int, so counts never overflow or round.
 
-A layer has two representations.  The dict maps each reachable state to
-its weight.  The packed layer, for the skip sweeps, puts the weight of
-state `used` in a b-bit lane of a Python int, so that one big-int operation
-moves every state at once.  With the columns renumbered 0 .. width - 1 and
-Z_j all ones on the lanes whose index lacks bit j, a row costs
+One routine, _sweep, walks every layer, and _layout picks per component
+how a layer is held: a dict keyed by the high columns, used >> c, whose
+value holds the weights of the 2^c states that share them in b-bit lanes
+of one Python int, so that one big-int operation moves every lane at once.
+At c = 0 there are no low columns and the dict maps each reachable state
+to its weight.  With the columns renumbered 0 .. width - 1 and Z_j all ones
+on the lanes whose index lacks bit j, a row costs, on the int L at key k,
 
-    take j          (L & Z_j) << (b << j)
+    take high j     L is added at key k | bit j, as a single weight is
+    take low j      (L & Z_j) << (b << j)
     skip            L
-    amm weight q    q * L = L + sum over j in the row of (L & Z_j)
+    amm weight q    q * L = (f + 1) * L + sum over low j in the row of (L & Z_j)
 
-and the total is L mod 2^b - 1.  Every lane and the total are below
-2^(b-1) when b, a multiple of 8, is above the bit length of a bound on the
-total: the number of matchings, at most prod(|line| + 1) over the rows or
-over the columns, and for the amm moment that times prod(|row| + 1).  The
-profile folds the lanes onto their popcount in c more operations (see
-_popcount_sums).  One int holds the lanes of the low c columns only, with
-2^c * b <= CHUNK_BITS, and a dict keyed by the high columns holds the ints:
-a high column moves whole ints as the dict moves values, and ints of 8 KiB
-spared the page faults that made steps on one multi-megabyte layer slow.
+with f the row's free high columns.  At c > 0 the total is the layer's sum
+mod 2^b - 1.  Every lane and the total are below 2^(b-1) when b, a multiple of
+8, is above the bit length of a bound on the total: the number of
+matchings, at most prod(|line| + 1) over the rows or over the columns, and
+for the amm moment that times prod(|row| + 1).  The profile folds the lanes
+onto their popcount in c more operations (see _popcount_sums).  2^c * b is
+at most CHUNK_BITS: ints of 8 KiB spared the page faults that made steps
+on one multi-megabyte layer slow.
 
-A component is packed when the sweep may skip, it is wider than
+A component takes c > 0 when the sweep may skip, it is wider than
 DICT_MAX_WIDTH, b is at most MAX_LANE_BITS, and two layers of 2^width lanes
-of b bits fit PACKED_BYTES, all known before any work starts; otherwise the
-dict sweeps it.  The rm sweep cannot skip, so most of its states die and
-its sparse dict layer beats a packed one that holds every lane.  A
-component of width 4 or less costs the dict less than its lane masks
-would, and small and sparse inputs consist mostly of such components.  The
-amm bound of a tall component grows with its rows, and lanes that wide cost
-more than dict values that start at 1.  On one core of a 2-vCPU Xeon, a
-fair-coin 18x18 took 0.1-0.2 s for its count and profile and 0.3-0.4 s for
-its amm moment packed, against 4-6 s each on the dict.
+of b bits fit PACKED_BYTES, all known before any work starts; otherwise it
+takes c = 0.  The rm sweep cannot skip, so most of its states die and a
+sparse dict of single states beats lanes for every state; a lane must also
+keep its weight when its row takes a column, which only a skip sweep does.
+A component of width 4 or less costs less as single states than its lane
+masks would, and small and sparse inputs consist mostly of such
+components.  The amm bound of a tall component grows with its rows, and
+lanes that wide cost more than single weights that start at 1.  On one
+core of a 2-vCPU Xeon, a fair-coin 18x18 took 0.1-0.2 s for its count and
+profile and 0.3-0.4 s for its amm moment at c > 0, against 4-6 s each at
+c = 0.
 
 The permanent is not swept: permanent_ryser evaluates Ryser's formula, so
 the permanent route checks the sweep with no mechanics in common.  It sums
@@ -114,27 +118,6 @@ MAX_TRANSFORM_SIDE = MAX_RYSER_COLS // 2
 MatchingProfile = list[int]
 
 
-def _sweep(masks, skip: bool, weighted: bool) -> dict[int, int]:
-    """Last layer {used columns: weight sum} of the forward row sweep."""
-    layer = {0: 1}
-    for row in masks:
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for used, value in layer.items():
-            free = row & ~used
-            if weighted:
-                value *= free.bit_count() + skip
-            if skip:
-                nxt[used] = get(used, 0) + value
-            while free:
-                bit = free & -free
-                key = used | bit
-                nxt[key] = get(key, 0) + value
-                free ^= bit
-        layer = nxt
-    return layer
-
-
 def _lane_bits(rows, weighted: bool) -> int:
     """Lane width b of a packed skip sweep over rows: the least multiple of 8
     strictly above the bit length of a bound on its total.
@@ -152,21 +135,18 @@ def _lane_bits(rows, weighted: bool) -> int:
     return bound.bit_length() // 8 * 8 + 8
 
 
-def _packing(width: int, rows, skip: bool, weighted: bool) -> int:
-    """Lane width for sweeping this component packed, or 0 to keep the dict:
-    packed needs the skip branch, a component wider than DICT_MAX_WIDTH,
-    b <= MAX_LANE_BITS, and two layers of 2^width lanes of b bits within
-    PACKED_BYTES."""
+def _layout(width: int, rows, skip: bool, weighted: bool) -> tuple[int, int]:
+    """(b, c) of this component's sweep: lanes of b bits, 2^c of them per
+    int, or (0, 0) for the dict layer.  Packing needs the skip branch, a
+    component wider than DICT_MAX_WIDTH, b <= MAX_LANE_BITS, and two layers
+    of 2^width lanes of b bits within PACKED_BYTES; c is then the most low
+    columns whose 2^c lanes fit CHUNK_BITS, at least 6 as b <= 1024."""
     if not skip or width <= DICT_MAX_WIDTH:
-        return 0
+        return 0, 0
     b = _lane_bits(rows, weighted)
-    return b if b <= MAX_LANE_BITS and (b << width) // 4 <= PACKED_BYTES else 0
-
-
-def _low_columns(width: int, b: int) -> int:
-    """c, the number of low columns whose lanes share one int: 2^c lanes of
-    b bits fit CHUNK_BITS."""
-    return max(0, min(width, (CHUNK_BITS // b).bit_length() - 1))
+    if b > MAX_LANE_BITS or (b << width) // 4 > PACKED_BYTES:
+        return 0, 0
+    return b, min(width, (CHUNK_BITS // b).bit_length() - 1)
 
 
 def _lanes_without(j: int, c: int, b: int) -> int:
@@ -183,40 +163,44 @@ def _lanes_without(j: int, c: int, b: int) -> int:
     return mask
 
 
-def _packed_sweep(rows, b: int, c: int, weighted: bool) -> dict[int, int]:
-    """Last layer of the skip sweep, packed: {used >> c: lanes}, where bits
+def _sweep(rows, skip: bool, weighted: bool, b: int, c: int) -> dict[int, int]:
+    """Last layer {used >> c: lanes} of the forward row sweep, where bits
     low * b .. low * b + b - 1 of lanes hold the weight sum of the state
-    whose low c columns are `low`.
+    whose low c columns are `low`; at c = 0 each value is one state's weight.
 
-    The high columns move whole ints as the dict sweep moves values.  For a
-    low column j, with Z_j the lanes whose index lacks bit j, taking j is
-    (L & Z_j) << (b << j) and skipping keeps L.  The amm weight q =
-    |row & ~used| + 1 is q * L = (f + 1) * L + sum over low j in the row of
-    L & Z_j, with f the row's free high columns.  The columns are first
-    renumbered 0 .. width - 1 (transposing twice does that and keeps the rows
-    in order); zero rows drop out, which changes nothing in a skip sweep.
+    The high columns move whole ints as single states move.  For a low
+    column j, with Z_j the lanes whose index lacks bit j, taking j is
+    (L & Z_j) << (b << j) and skipping keeps L.  The weight q =
+    |row & ~used| + skip is q * L = (f + skip) * L + sum over low j in the
+    row of L & Z_j, with f the row's free high columns.  With c > 0 the
+    sweep may skip (see _layout) and the columns are first renumbered
+    0 .. width - 1 (transposing twice does that and keeps the rows in
+    order); zero rows drop out, which changes nothing in a skip sweep.
     """
+    if c:
+        without = [_lanes_without(j, c, b) for j in range(c)]
+        rows = _transpose(_transpose(rows))
     low_mask = (1 << c) - 1
-    without = [_lanes_without(j, c, b) for j in range(c)]
     layer = {0: 1}
-    for row in _transpose(_transpose(rows)):
-        high, row = row >> c, row & low_mask
-        takes = []
-        while row:
-            bit = row & -row
-            j = bit.bit_length() - 1
-            takes.append((without[j], b << j))
-            row ^= bit
+    for row in rows:
+        high, low = row >> c, row & low_mask
+        takes = low and [(without[j], b << j) for j in range(c) if low >> j & 1]
         nxt: dict[int, int] = {}
         get = nxt.get
         for used, lanes in layer.items():
             free = high & ~used
-            if weighted:
-                lanes = lanes * (free.bit_count() + 1) + sum(lanes & z for z, _ in takes)
-            moved = lanes
-            for z, shift in takes:
-                moved += (lanes & z) << shift
-            nxt[used] = get(used, 0) + moved
+            if takes:
+                if weighted:
+                    lanes = lanes * (free.bit_count() + skip) + sum(lanes & z for z, _ in takes)
+                moved = lanes
+                for z, shift in takes:
+                    moved += (lanes & z) << shift
+                nxt[used] = get(used, 0) + moved
+            else:
+                if weighted:
+                    lanes *= free.bit_count() + skip
+                if skip:
+                    nxt[used] = get(used, 0) + lanes
             while free:
                 bit = free & -free
                 key = used | bit
@@ -227,9 +211,10 @@ def _packed_sweep(rows, b: int, c: int, weighted: bool) -> dict[int, int]:
 
 
 def _popcount_sums(layer: dict[int, int], width: int, b: int, c: int) -> list[int]:
-    """Sums of a packed layer's lanes, bucketed by the popcount of their state.
+    """Sums of a layer's lanes, bucketed by the popcount of their state.
 
-    The ints are first summed per popcount of their high columns.  In such a
+    The ints are first summed per popcount of their high columns, which at
+    c = 0 are the whole state, so those sums are the buckets.  In such a
     sum, lanes 2i and 2i + 1 already read as L_2i + y * L_2i+1 with y = 2^b.
     Folding low column t = 1 .. c - 1 moves the upper half of every block of
     2^(t+1) lanes down by (2^t - 1) * b bits onto the lower half, which
@@ -237,10 +222,12 @@ def _popcount_sums(layer: dict[int, int], width: int, b: int, c: int) -> list[in
     L_low * y^popcount(low), so b-bit digit k is bucket k.  No digit carries,
     as each is a sum of lanes, at most the total.
     """
-    without = [_lanes_without(t, c, b) for t in range(c)]
     grouped = [0] * (width - c + 1)
     for high, lanes in layer.items():
         grouped[high.bit_count()] += lanes
+    if not c:
+        return grouped
+    without = [_lanes_without(t, c, b) for t in range(c)]
     digit = (1 << b) - 1
     sums = [0] * (width + 1)
     for base, lanes in enumerate(grouped):
@@ -307,7 +294,8 @@ def _split(a: ZeroOneMatrix, what: str, narrow: bool) -> list[tuple[int, list[in
         width = cols.bit_count()
         if narrow and width > len(rows):
             width, rows = len(rows), _transpose(rows)
-        widest = max(widest, width)
+        if width > widest:
+            widest = width
         parts.append((width, rows))
     if widest > MAX_SWEEP_WIDTH:
         side = "rows or columns (narrower side)" if narrow else "columns"
@@ -331,12 +319,9 @@ def _product(a: ZeroOneMatrix, what: str, skip: bool, weighted: bool) -> int:
     unweighted count is transpose-invariant, so only it sweeps narrow."""
     total = 1
     for width, masks in _split(a, what, not weighted):
-        b = _packing(width, masks, skip, weighted)
-        if b:
-            layer = _packed_sweep(masks, b, _low_columns(width, b), weighted)
-            total *= sum(layer.values()) % ((1 << b) - 1)
-        else:
-            total *= sum(_sweep(masks, skip, weighted).values())
+        b, c = _layout(width, masks, skip, weighted)
+        part = sum(_sweep(masks, skip, weighted, b, c).values())
+        total *= part % ((1 << b) - 1) if c else part
     return total
 
 
@@ -359,14 +344,8 @@ def matching_profile(a: ZeroOneMatrix) -> MatchingProfile:
     """
     profile = [1]
     for width, masks in _split(a, "matching_profile", True):
-        b = _packing(width, masks, True, False)
-        if b:
-            c = _low_columns(width, b)
-            part = _popcount_sums(_packed_sweep(masks, b, c, False), width, b, c)
-        else:
-            part = [0] * (width + 1)
-            for used, value in _sweep(masks, True, False).items():
-                part[used.bit_count()] += value
+        b, c = _layout(width, masks, True, False)
+        part = _popcount_sums(_sweep(masks, True, False, b, c), width, b, c)
         profile = _convolve(profile, part)
     return profile + [0] * (a.cols + 1 - len(profile))
 

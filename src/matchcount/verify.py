@@ -15,7 +15,9 @@ Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
 "full" adds the 4x4 exhaustive sweep, the transform equivalence on every
 3x3 matrix, random 8x8 ratio-bound checks, the peak sandwich
 peak <= mean <= n peak up to n = 100, the disjoint-union factorisation of
-count and profile, and the exact crossover of the ensemble ratio at n = 357.
+count and profile, closed-form counts and profiles of all-ones, band and
+identity matrices at full width, and the exact crossover of the ensemble
+ratio at n = 357.
 
 Production routes and oracles are looked up by module-global name when a
 check runs, so a patched or wrapped function is the one checked.
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from math import comb, factorial
 
 from .ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble, sample_matrix
 from .estimators import (
@@ -270,6 +273,56 @@ def check_component_product() -> CheckResult:
     return _each("component-product", pairs, compare, "interleaved unions factor")
 
 
+def _newton_gap(r: list[int]):
+    """The first k at which the profile r breaks Newton's inequality
+    r_k^2 k (nu - k) >= r_(k-1) r_(k+1) (k + 1) (nu - k + 1), 0 < k < nu,
+    with nu the largest k with r_k > 0; None if none does."""
+    nu = max(k for k, x in enumerate(r) if x)
+    for k in range(1, nu):
+        if r[k] ** 2 * k * (nu - k) < r[k - 1] * r[k + 1] * (k + 1) * (nu - k + 1):
+            return k
+    return None
+
+
+def check_closed_forms() -> CheckResult:
+    """Count and profile at full width against closed forms that share no
+    mechanics with the sweep, on components of both layers:
+    profile(ones(m, n))_k = C(m, k) C(n, k) k! for m <= 12, m <= n <= 14 and
+    the transposes; the n x n bidiagonal band is a path on 2n vertices, so
+    it has F(2n + 1) matchings, n <= 24; and identity(n) has C(n, k)
+    k-edge matchings and 2^n in all, n <= 64.  The matching polynomial has
+    only real roots (Heilmann and Lieb, 1972), so every profile must also
+    meet Newton's inequalities."""
+    known = {}  # matrix -> (profile or None, count)
+    for m in range(13):
+        for n in range(m, 15):
+            for rows, cols in ((m, n), (n, m)):
+                profile = [comb(rows, k) * comb(cols, k) * factorial(k) for k in range(cols + 1)]
+                known[ZeroOneMatrix.ones(rows, cols)] = profile, sum(profile)
+    fib = [0, 1]
+    while len(fib) < 50:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(25):
+        band = ZeroOneMatrix(n, n, tuple((0b11 << i) & ((1 << n) - 1) for i in range(n)))
+        known[band] = None, fib[2 * n + 1]
+    for n in range(65):
+        known[ZeroOneMatrix.identity(n)] = [comb(n, k) for k in range(n + 1)], 2**n
+
+    def compare(a):
+        want, total = known[a]
+        count = count_all_matchings(a)
+        if count != total:
+            return f"count {count}, closed form {total}"
+        if want is not None:
+            profile = matching_profile(a)
+            if profile != want:
+                return f"profile {profile}, closed form {want}"
+            k = _newton_gap(profile)
+            return k is not None and f"profile {profile} breaks Newton's inequality at k = {k}"
+
+    return _each("closed-forms", known, compare, "matrices match their closed forms")
+
+
 def check_mean_formula() -> CheckResult:
     """Fair-coin mean formula against ensemble enumeration, m <= n <= 3, and two spots."""
     spots = {(1, 1): Fraction(3, 2), (2, 2): Fraction(7, 2)}
@@ -434,6 +487,7 @@ FULL_EXTRAS = [
     check_ratio_bound_random,
     check_peak_sandwich,
     check_component_product,
+    check_closed_forms,
     check_ratio_crossover,
 ]
 

@@ -162,6 +162,18 @@ def test_boundary_errors_exit_cleanly(argv):
     assert proc.stdout == ""
 
 
+def test_memory_error_exits_cleanly(monkeypatch, capsys):
+    """A sweep that runs out of memory ends in one error line and exit 1,
+    not a traceback."""
+
+    def exhausted(a):
+        raise MemoryError
+
+    monkeypatch.setattr(matchcount.cli, "matching_profile", exhausted)
+    code, out, err = run_cli(capsys, "exact", "--random", "bernoulli:3:3:1/2")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 def test_package_runs_as_a_module():
     """python3 -m matchcount runs the command line from a source checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(matchcount.__file__).parents[1]))
@@ -378,7 +390,7 @@ def test_verify_full_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 21  # header + 14 small checks + 6 full extras
+    assert len(rows) == 22  # header + 14 small checks + 7 full extras
     assert all(row[1] == "pass" for row in rows[1:])
 
 
@@ -395,6 +407,33 @@ def test_verify_reports_counterexample(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "small")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_closed_forms_report_a_wrong_count_and_profile(monkeypatch):
+    """closed-forms fails on a count that is off at full width only, where no
+    oracle reaches, and on a profile that is off although its sum is right;
+    _newton_gap finds the k at which a profile breaks Newton's inequality."""
+    real_count, real_profile = verify.count_all_matchings, verify.matching_profile
+    monkeypatch.setattr(
+        verify, "count_all_matchings", lambda a: real_count(a) + (a.rows == 20)
+    )
+    result = verify.check_closed_forms()
+    assert not result.passed
+    assert read_matrix(result.detail.split("counterexample:\n", 1)[1]).rows == 20
+    monkeypatch.setattr(verify, "count_all_matchings", real_count)
+
+    def shifted(a):
+        profile = real_profile(a)
+        if a.rows == a.cols == 12:
+            profile[1] += 1
+            profile[2] -= 1
+        return profile
+
+    monkeypatch.setattr(verify, "matching_profile", shifted)
+    result = verify.check_closed_forms()
+    assert not result.passed and result.detail.startswith("profile [1, 145, ")
+    assert verify._newton_gap([1, 1, 5]) == 1
+    assert verify._newton_gap([1, 3, 3, 1]) is None
 
 
 def test_verify_reports_a_raising_route_and_goes_on(monkeypatch, capsys):

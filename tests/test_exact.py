@@ -1,5 +1,6 @@
 """Exact counting: row sweep, brute-force agreement, permanent routes."""
 
+import json
 import math
 import os
 import subprocess
@@ -19,8 +20,7 @@ from matchcount.errors import CapacityError, EquivalenceViolationError, Undefine
 from matchcount.estimators import Method
 from matchcount.exact import (
     _lane_bits,
-    _packed_sweep,
-    _packing,
+    _layout,
     _popcount_sums,
     _sweep,
     amm_trial_second_moment,
@@ -251,8 +251,8 @@ def test_wide_matrix_stays_fast():
 
 
 def whole_sweep(a, skip=True, weighted=False):
-    """Last layer of one sweep over the whole matrix, rows as given."""
-    return _sweep(a.row_masks, skip, weighted)
+    """Last layer of one dict-layer (c = 0) sweep over the whole matrix, rows as given."""
+    return _sweep(a.row_masks, skip, weighted, 0, 0)
 
 
 def whole_profile(a):
@@ -425,15 +425,15 @@ def test_factorised_sweep_matches_whole_sweep_exhaustive():
 
 
 def packed_quantities(masks, width, c):
-    """Count, profile and amm moment of one packed sweep over masks, c low
-    columns per int, with no component split."""
+    """Count, profile and amm moment of one sweep over masks in b-bit lanes,
+    c low columns per int, with no component split."""
     b = _lane_bits(masks, False)
-    layer = _packed_sweep(masks, b, c, False)
+    layer = _sweep(masks, True, False, b, c)
     bw = _lane_bits(masks, True)
     return (
         sum(layer.values()) % ((1 << b) - 1),
         _popcount_sums(layer, width, b, c),
-        sum(_packed_sweep(masks, bw, c, True).values()) % ((1 << bw) - 1),
+        sum(_sweep(masks, True, True, bw, c).values()) % ((1 << bw) - 1),
     )
 
 
@@ -444,14 +444,15 @@ def dict_quantities(a):
 
 def test_packed_layer_matches_dict_layer_exhaustive():
     """Every fair-coin matrix with m, n <= 4, 0 x n and m x 0 included: the
-    packed layer gives the dict's count, profile and amm moment, with the
-    number c of low columns per int cycling through 0 .. n.  Public calls
-    this small never pack."""
+    packed layer gives the dict layer's (c = 0) count, profile and amm
+    moment, with the number c of low columns per int cycling through
+    1 .. n (0 when n = 0).  Public calls this small take c = 0."""
     seen = 0
     for m in range(5):
         for n in range(5):
             for i, a in enumerate(all_matrices(m, n)):
-                assert packed_quantities(a.row_masks, n, i % (n + 1)) == dict_quantities(a)
+                c = 1 + i % n if n else 0
+                assert packed_quantities(a.row_masks, n, c) == dict_quantities(a)
                 seen += 1
     assert seen == sum(2 ** (m * n) for m in range(5) for n in range(5))
 
@@ -459,10 +460,10 @@ def test_packed_layer_matches_dict_layer_exhaustive():
 @DETERMINISTIC
 @given(matrices(max_side=9), st.data())
 def test_packed_layer_matches_dict_layer(a, data):
-    """Shapes up to 10x10 with a zero row and a zero column, any number c of
-    low columns per int."""
+    """Shapes up to 10x10 with a zero row and a zero column, any number
+    c = 1 .. n of low columns per int, against the dict layer (c = 0)."""
     z = insert_zero_line(a, data.draw(st.integers(0, a.rows)), data.draw(st.integers(0, a.cols)))
-    c = data.draw(st.integers(0, z.cols))
+    c = data.draw(st.integers(1, z.cols))
     assert packed_quantities(z.row_masks, z.cols, c) == dict_quantities(z)
 
 
@@ -473,8 +474,8 @@ def test_packed_lane_width_at_a_lane_boundary():
     b = _lane_bits(rows, False)
     assert b == 16
     for c in (0, 4, 8):
-        assert sum(_packed_sweep(rows, b, c, False).values()) % ((1 << b) - 1) == 256
-    assert sum(_packed_sweep(rows, 8, 8, False).values()) % 255 == 1
+        assert sum(_sweep(rows, True, False, b, c).values()) % ((1 << b) - 1) == 256
+    assert sum(_sweep(rows, True, False, 8, 8).values()) % 255 == 1
 
 
 def bidiagonal(n):
@@ -488,40 +489,104 @@ def fair_coin(m, n, seed):
 
 
 def test_packing_rule():
-    """Packed only for skip sweeps wider than DICT_MAX_WIDTH with lanes of at
-    most MAX_LANE_BITS whose two layers fit PACKED_BYTES: the band of side
-    24 fits, a fair-coin 24x24 does not, and the amm lanes of a 3000-row
-    component are too wide."""
+    """(b, c) packs only skip sweeps wider than DICT_MAX_WIDTH with lanes of
+    at most MAX_LANE_BITS whose two layers fit PACKED_BYTES, with the most
+    low columns c <= width whose 2^c lanes fit CHUNK_BITS; everything else
+    takes the dict, (0, 0).  The band of side 24 fits, a fair-coin 24x24
+    does not, and the amm lanes of a 3000-row component are too wide.  The
+    rm sweep, which cannot skip, takes (0, 0) at every width: the c > 0
+    sweep assumes the skip branch."""
     ones5 = list(ZeroOneMatrix.ones(5, 5).row_masks)
-    assert _packing(5, ones5, True, False) == _lane_bits(ones5, False) == 16
-    assert _packing(5, ones5, True, True) == _lane_bits(ones5, True) == 32
-    assert _packing(4, ones5[:4], True, False) == 0
-    assert _packing(5, ones5, False, True) == 0
+    assert _lane_bits(ones5, False) == 16 and _lane_bits(ones5, True) == 32
+    assert _layout(5, ones5, True, False) == (16, 5)
+    assert _layout(5, ones5, True, True) == (32, 5)
+    assert _layout(4, ones5[:4], True, False) == (0, 0)
+    assert _layout(5, ones5, False, True) == (0, 0)
+    for width in range(25):
+        rows = list(ZeroOneMatrix.ones(width, width).row_masks)
+        assert _layout(width, rows, False, True) == (0, 0)
+    ones12 = list(ZeroOneMatrix.ones(12, 14).row_masks)
+    assert _layout(12, ones12, True, False) == (_lane_bits(ones12, False), 10) == (48, 10)
     tall = [0b11111] * 3000
-    assert _packing(5, tall, True, False) == _lane_bits(tall, False) == 64
+    assert _layout(5, tall, True, False) == (_lane_bits(tall, False), 5) == (64, 5)
     assert _lane_bits(tall, True) > exact.MAX_LANE_BITS
-    assert _packing(5, tall, True, True) == 0
+    assert _layout(5, tall, True, True) == (0, 0)
     band = list(bidiagonal(24).row_masks)
-    assert _packing(24, band, True, False) == 40
+    assert _layout(24, band, True, False) == (40, 10)
     dense = list(fair_coin(24, 24, 0).row_masks)
     assert _lane_bits(dense, False) << 24 > 4 * exact.PACKED_BYTES
-    assert _packing(24, dense, True, False) == 0
+    assert _layout(24, dense, True, False) == (0, 0)
+
+
+def record_layouts(monkeypatch):
+    """Wrap _sweep so that every call appends its number c of low columns."""
+    seen = []
+    sweep = exact._sweep
+
+    def recorded(rows, skip, weighted, b, c):
+        seen.append(c)
+        return sweep(rows, skip, weighted, b, c)
+
+    monkeypatch.setattr(exact, "_sweep", recorded)
+    return seen
 
 
 def test_over_budget_components_take_the_dict(monkeypatch):
-    """With no byte budget every component takes the dict, with the same results."""
+    """With no byte budget every component takes the dict, c = 0, with the same results."""
     inputs = [fair_coin(m, n, 1) for m, n in ((6, 6), (9, 7), (5, 12))]
 
     def quantities(a):
         return count_all_matchings(a), matching_profile(a), amm_trial_second_moment(a)
 
-    def refuse(*args):
-        raise AssertionError("packed sweep over the budget")
-
+    seen = record_layouts(monkeypatch)
     want = [quantities(a) for a in inputs]
+    assert all(seen)
+    seen.clear()
     monkeypatch.setattr(exact, "PACKED_BYTES", 0)
-    monkeypatch.setattr(exact, "_packed_sweep", refuse)
     assert [quantities(a) for a in inputs] == want
+    assert len(seen) == 9 and not any(seen)
+
+
+def corpus(workload):
+    """The benchmark's full corpus for a workload, each matrix with its
+    transpose where the workload also runs that."""
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    for entry in golden["corpus"][workload]["full"]:
+        a = ZeroOneMatrix.from_rows([[int(ch) for ch in row] for row in entry["rows"]])
+        yield a
+        if entry["pair"]:
+            yield ZeroOneMatrix.from_rows(
+                [[a.entry(i, j) for i in range(a.rows)] for j in range(a.cols)]
+            )
+
+
+def test_benchmark_traffic_takes_both_layouts(monkeypatch):
+    """Both layouts carry benchmark traffic: every component of the
+    exact-dense corpus packs (c > 0), every component of a matrix up to
+    3x3 (verify small's shapes) takes the dict (c = 0), and so do the rm
+    moments of the trials corpus, whose amm moments pack.  A layout rule
+    that moves a whole workload onto one layout fails here."""
+    seen = record_layouts(monkeypatch)
+    for a in corpus("exact-dense"):
+        matching_profile(a)
+    assert len(seen) == 9 and all(seen)
+    seen.clear()
+    for m in range(4):
+        for n in range(4):
+            for a in all_matrices(m, n):
+                count_all_matchings(a), matching_profile(a), amm_trial_second_moment(a)
+                if m == n:
+                    rm_trial_second_moment(a)
+    assert len(seen) > 2000 and not any(seen)
+    seen.clear()
+    trials = list(corpus("trials"))
+    for a in trials:
+        rm_trial_second_moment(a)
+    assert len(seen) == len(trials) == 3 and not any(seen)
+    seen.clear()
+    for a in trials:
+        amm_trial_second_moment(a)
+    assert len(seen) == 3 and all(seen)
 
 
 def test_all_ones_profile_closed_form():
