@@ -52,12 +52,15 @@ from .moments import (
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
+    carried_majority_tails,
+    carried_moments,
     edge_count_mean_matchings,
     edge_count_second_moment,
     ensemble_moment_oracle,
     majority_tail,
     mean_matchings_bounds,
     meets_power_threshold,
+    ratio_scan_columns,
     second_moment_diag_lower_bound,
     to_decimal,
 )

@@ -50,6 +50,7 @@ from .moments import (
     majority_tail,
     mean_matchings_bounds,
     meets_power_threshold,
+    ratio_scan_columns,
     second_moment_diag_lower_bound,
     to_decimal,
 )
@@ -65,8 +66,8 @@ FORMULAS = ("thm3", "thm4", "thm5", "thm6", "thm7", "thm8-mean", "thm8-m2")
 
 # Largest n each command accepts, checked before any work.  At each moments
 # cap the slowest case took 2.5-8 s on one core of a 2-vCPU Xeon; ratio-scan
-# reaches the paper's crossover range instead, though its row at n = 700
-# takes about 36 s, nearly all of it majority tail.
+# reaches the paper's crossover range instead: its columns are carried across
+# n, so 1:700 took 163-167 s and 700:700, nearly all first tail, 27 s.
 MAX_N = {"thm3": 4000, "thm4": 2000, "thm5": 4000, "thm6": 2000, "thm7": 400,
          "thm8-mean": 200, "thm8-m2": 40, "ratio-scan": 700}
 
@@ -115,12 +116,17 @@ class ResultRecord:
 
 
 def _thm6_row(n: int) -> tuple:
-    """thm6 at n: mean, second moment, ratio, whether the ratio meets
-    n^(sqrt(n)/2), that threshold to DECIMAL_DIGITS digits, and the diagonal
-    lower bound.  The threshold is decided before it is rendered, so n < 1 is
-    refused before the Decimal power meets 0 ** 0."""
-    mean = bernoulli_mean_matchings(n, n)
-    second = bernoulli_second_moment(n, n)
+    """thm6 at n by the per-n routes: mean, second moment, ratio, whether
+    the ratio meets n^(sqrt(n)/2), that threshold to DECIMAL_DIGITS digits,
+    and the diagonal lower bound."""
+    mean, second = bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n)
+    return mean, second, *_ratio_columns(n, mean, second)
+
+
+def _ratio_columns(n: int, mean: Fraction, second: Fraction) -> tuple:
+    """The rest of _thm6_row from its mean and second moment.  The threshold
+    is decided before it is rendered, so n < 1 is refused before the Decimal
+    power meets 0 ** 0."""
     ratio = second / mean**2
     meets = meets_power_threshold(ratio, n)
     with localcontext() as ctx:
@@ -128,7 +134,7 @@ def _thm6_row(n: int) -> tuple:
         threshold = Decimal(n) ** (Decimal(n).sqrt() / 2)
         ctx.prec = DECIMAL_DIGITS
         threshold = str(+threshold)
-    return mean, second, ratio, meets, threshold, second_moment_diag_lower_bound(n)
+    return ratio, meets, threshold, second_moment_diag_lower_bound(n)
 
 
 def _render_record(record: ResultRecord, fmt: str) -> str:
@@ -171,15 +177,15 @@ def _render_record(record: ResultRecord, fmt: str) -> str:
 
 
 def _render_table(command: str, columns: list[str], rows: list[list], fmt: str) -> str:
-    text_rows = [
-        [str(v).lower() if isinstance(v, bool) else str(v) for v in row] for row in rows
-    ]
     if fmt == "json":
         payload = {
             "command": command,
             "rows": [dict(zip(columns, row)) for row in rows],
         }
         return json.dumps(payload, indent=2, default=str) + "\n"
+    text_rows = [
+        [str(v).lower() if isinstance(v, bool) else str(v) for v in row] for row in rows
+    ]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -375,9 +381,8 @@ def cmd_ratio_scan(args) -> tuple[tuple, int]:
         "majority-tail",
     ]
     rows = []
-    for n in range(lo, hi + 1):
-        mean, second, ratio, meets, threshold, diag = _thm6_row(n)
-        tail = majority_tail(n, eps)
+    for n, mean, second, tail in ratio_scan_columns(lo, hi, eps):
+        ratio, meets, threshold, diag = _ratio_columns(n, mean, second)
         rows.append([n, mean, second, ratio, to_decimal(ratio), threshold, meets, diag, tail])
     return ("ratio-scan", columns, rows), 0
 

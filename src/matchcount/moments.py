@@ -11,16 +11,21 @@ direct sum; the second moment runs the recurrence scaled by 4^m.  For n x n
 matrices with exactly m ones, mean and second moment of the matching count
 come from inclusion-exclusion over one and two fixed matchings.
 
+ratio-scan's square fair-coin columns (mean, second moment, majority tail)
+are also carried across n, each row from the one before; the per-n
+functions stay as their independent routes.
+
 Each closed form sums int numerators over one fixed denominator (2^m, 4^m,
 4^n or C(n^2, m)) and builds one Fraction at the end; the independent routes
 that check them keep their own arithmetic.  Decimal strings are rendering only.
 """
 
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, comb, factorial, isqrt, perm
-from typing import Callable
+from typing import Callable, Iterator
 
 from .ensembles import EnsembleSpec, enumerate_ensemble, matrix_probability
 from .errors import CapacityError, DomainError
@@ -208,6 +213,16 @@ def meets_power_threshold(value: Fraction, n: int) -> bool:
         below = not below
 
 
+def _require_tail(n: int, eps) -> Fraction:
+    """eps as a Fraction, once n >= 1 and 0 < eps <= MAX_EPS are checked."""
+    if n < 1:
+        raise DomainError(f"needs n >= 1, got {n}")
+    eps = Fraction(eps)
+    if not 0 < eps <= MAX_EPS:
+        raise DomainError(f"needs 0 < eps <= {MAX_EPS}, got {eps}")
+    return eps
+
+
 def majority_tail(n: int, eps: Fraction) -> Fraction:
     """Upper tail of the symmetric binomial on n^2 trials:
     sum of C(n^2, i) / 2^(n^2) for i from ceil((1/2 + eps) n^2) to n^2.
@@ -215,11 +230,7 @@ def majority_tail(n: int, eps: Fraction) -> Fraction:
     Needs n >= 1 and 0 < eps <= MAX_EPS.  The lower limit is rounded up to
     the next integer so the reported value never overstates the tail.
     """
-    if n < 1:
-        raise DomainError(f"needs n >= 1, got {n}")
-    eps = Fraction(eps)
-    if not 0 < eps <= MAX_EPS:
-        raise DomainError(f"needs 0 < eps <= {MAX_EPS}, got {eps}")
+    eps = _require_tail(n, eps)
     cells = n * n
     lower = ceil((Fraction(1, 2) + eps) * cells)
     term = comb(cells, lower)  # C(cells, i), stepped exactly to C(cells, i + 1)
@@ -228,6 +239,109 @@ def majority_tail(n: int, eps: Fraction) -> Fraction:
         total += term
         term = term * (cells - i) // (i + 1)
     return Fraction(total, 2**cells)
+
+
+# ---------------------------------------------------------------------------
+# The square fair-coin columns carried across n, as ratio-scan tabulates them.
+# The per-n functions above are their independent routes.
+
+
+def _next_column(column: list[int], a: int, c: int) -> list[int]:
+    """Column l of u(i, l) = a u(i-1, l) + c u(i-1, l-1), u(0, l) = 1, for
+    i = 0..l, from column l-1 (i = 0..l-1); a and c are the coefficients at l."""
+    out = [1]
+    for below in column:
+        out.append(a * out[-1] + c * below)
+    return out
+
+
+def carried_moments(lo: int, hi: int) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(n, bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n)) for
+    n = lo..hi, with each column carried from the one before.
+
+    The recurrences, scaled to integers by h(i, l) = 2^i f(i, l) for the mean
+    and g(i, l) = 4^i f(i, l) for the second moment, are
+        h(i, l) = 2 h(i-1, l) + l h(i-1, l-1),
+        g(i, l) = 2(l+2) g(i-1, l) + (l^2+3l) g(i-1, l-1),
+    with h(0, l) = g(0, l) = 1.  Neither depends on n, so column l comes from
+    column l-1 in O(l) integer operations, and row n is h(n, n) / 2^n and
+    g(n, n) / 4^n.  The columns below lo cost O(lo^2) operations, as one
+    per-n call does.
+    """
+    if lo < 1:
+        raise DomainError(f"needs n >= 1, got {lo}")
+    h = g = [1]
+    for l in range(1, hi + 1):
+        h = _next_column(h, 2, l)
+        g = _next_column(g, 2 * (l + 2), l * l + 3 * l)
+        if l >= lo:
+            yield l, Fraction(h[l], 1 << l), Fraction(g[l], 4**l)
+
+
+class _LowestTerms:
+    """p/q already in lowest terms, in the numbers.Rational protocol, so that
+    Fraction(_LowestTerms(p, q)) takes p and q as they are, with no gcd."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def _dyadic(numerator: int, exponent: int) -> Fraction:
+    """numerator / 2^exponent for 0 < numerator < 2^exponent, reduced by the
+    trailing zero bits of numerator, where Fraction(numerator, 2**exponent)
+    would pay a gcd on exponent-bit integers, quadratic in their length."""
+    zeros = (numerator & -numerator).bit_length() - 1
+    return Fraction(_LowestTerms(numerator >> zeros, 1 << (exponent - zeros)))
+
+
+def carried_majority_tails(lo: int, hi: int, eps) -> Iterator[Fraction]:
+    """majority_tail(n, eps) for n = lo..hi, each carried from the one before.
+
+    Keep N = n^2, the lower limit L = ceil((1/2 + eps) N), C = C(N, L) and
+    T = sum over i >= L of C(N, i), the tail times 2^N.  One more cell is
+        C(N, L-1) = C L / (N-L+1),  T <- 2T + C(N, L-1),  C <- C + C(N, L-1),
+    and one more step of the lower limit is
+        T <- T - C,  C <- C (N-L) / (L+1),
+    each exact.  So a row costs O(n) steps on n^2-bit integers, where
+    majority_tail sums O(n^2) terms.  The row at lo sums its tail from the
+    top, C(N, i-1) = C(N, i) i / (N-i+1), whose last term is C(N, L): that
+    costs what majority_tail(lo, eps) does, less its math.comb and its gcd.
+    """
+    half = Fraction(1, 2) + _require_tail(lo, eps)
+    cells = lo * lo
+    lower = ceil(half * cells)
+    term = total = 1
+    for i in range(cells, lower, -1):
+        term = term * i // (cells - i + 1)
+        total += term
+    for n in range(lo, hi + 1):
+        if n > lo:
+            while cells < n * n:
+                below = term * lower // (cells - lower + 1)
+                total = 2 * total + below
+                term += below
+                cells += 1
+            target = ceil(half * cells)
+            while lower < target:
+                total -= term
+                term = term * (cells - lower) // (lower + 1)
+                lower += 1
+        yield _dyadic(total, cells)
+
+
+def ratio_scan_columns(
+    lo: int, hi: int, eps
+) -> Iterator[tuple[int, Fraction, Fraction, Fraction]]:
+    """(n, mean, second moment, majority tail) of the square fair-coin
+    ensemble for n = lo..hi: carried_moments and carried_majority_tails in step."""
+    tails = carried_majority_tails(lo, hi, eps)
+    for (n, mean, second), tail in zip(carried_moments(lo, hi), tails):
+        yield n, mean, second, tail
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
 3x3 matrix, random 8x8 ratio-bound checks, the peak sandwich
 peak <= mean <= n peak up to n = 100, the disjoint-union factorisation of
 count and profile, closed-form counts and profiles of all-ones, band and
-identity matrices at full width, and the exact crossover of the ensemble
-ratio at n = 357.
+identity matrices at full width, the exact crossover of the ensemble
+ratio at n = 357 with two routes per moment, and ratio-scan's carried
+columns against the per-n functions.
 
 Production routes and oracles are looked up by module-global name when a
 check runs, so a patched or wrapped function is the one checked.
@@ -29,6 +30,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import comb, factorial
+from typing import NamedTuple
 
 from .ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble, sample_matrix
 from .estimators import (
@@ -51,12 +53,14 @@ from .moments import (
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
+    carried_moments,
     edge_count_mean_matchings,
     edge_count_second_moment,
     ensemble_moment_oracle,
     majority_tail,
     mean_matchings_bounds,
     meets_power_threshold,
+    ratio_scan_columns,
 )
 from .oracles import brute_force_matching_count, brute_force_matching_profile, permanent_naive
 from .streams import RandomStream
@@ -403,16 +407,57 @@ def check_majority_tail() -> CheckResult:
 
 def check_ratio_crossover() -> CheckResult:
     """The fair-coin ensemble ratio E[X^2] / E[X]^2 of n x n matrices is
-    below n^(sqrt(n)/2) at n = 356 and at or above it at n = 357, decided exactly."""
+    below n^(sqrt(n)/2) at n = 356 and at or above it at n = 357, decided
+    exactly.  Each moment there has a second route: the second moment's
+    closed form, and both recurrences carried across n (the tail is not)."""
 
     def compare(n):
-        ratio = bernoulli_second_moment(n, n) / bernoulli_mean_matchings(n, n) ** 2
-        meets = meets_power_threshold(ratio, n)
+        mean, second = bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n)
+        if second != bernoulli_second_moment_closed_form(n, n):
+            return "second moment differs from its closed form at n"
+        _, carried_mean, carried_second = next(carried_moments(n, n))
+        if carried_mean != mean:
+            return "carried mean differs from the per-n sum at n"
+        if carried_second != second:
+            return "carried second moment differs from the per-n recurrence at n"
+        meets = meets_power_threshold(second / mean**2, n)
         side = "meets" if meets else "is below"
         return meets != (n == 357) and f"ratio {side} n^(sqrt(n)/2) at n"
 
-    noun = "values of n decided: below at 356, met at 357"
+    noun = "values of n decided, two routes per moment: below at 356, met at 357"
     return _each("ratio-crossover", (356, 357), compare, noun)
+
+
+class _ScanRange(NamedTuple):
+    lo: int
+    hi: int
+    eps: Fraction
+
+    def __str__(self) -> str:
+        return f"ratio-scan --n-range {self.lo}:{self.hi} --eps {self.eps}"
+
+
+def check_ratio_scan_columns() -> CheckResult:
+    """ratio-scan's carried mean, second moment and majority tail against the
+    per-n functions at every n <= 40 and at n = 100 and 200, for eps = 1/50
+    and 1/1000, and once from a start at lo = 33."""
+    checked = {*range(1, 41), 100, 200}
+    scans = [_ScanRange(1, 200, Fraction(1, 50)), _ScanRange(1, 200, Fraction(1, 1000)),
+             _ScanRange(33, 100, Fraction(1, 50))]
+    columns = ("mean", "second moment", "majority tail")
+
+    def compare(scan):
+        for n, *carried in ratio_scan_columns(*scan):
+            if n not in checked:
+                continue
+            per_n = (bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n),
+                     majority_tail(n, scan.eps))
+            for column, got, want in zip(columns, carried, per_n):
+                if got != want:
+                    return f"carried {column} differs from the per-n route at n = {n}"
+
+    noun = "scans agree with the per-n routes at every checked n"
+    return _each("ratio-scan-columns", scans, compare, noun)
 
 
 def check_peak_sandwich() -> CheckResult:
@@ -489,6 +534,7 @@ FULL_EXTRAS = [
     check_component_product,
     check_closed_forms,
     check_ratio_crossover,
+    check_ratio_scan_columns,
 ]
 
 

@@ -1,6 +1,7 @@
 """CLI behavior through main(argv): formats, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -390,7 +391,7 @@ def test_verify_full_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 22  # header + 14 small checks + 7 full extras
+    assert len(rows) == 23  # header + 14 small checks + 8 full extras
     assert all(row[1] == "pass" for row in rows[1:])
 
 
@@ -434,6 +435,30 @@ def test_closed_forms_report_a_wrong_count_and_profile(monkeypatch):
     assert not result.passed and result.detail.startswith("profile [1, 145, ")
     assert verify._newton_gap([1, 1, 5]) == 1
     assert verify._newton_gap([1, 3, 3, 1]) is None
+
+
+def test_ratio_scan_columns_report_the_first_wrong_row(monkeypatch):
+    """ratio-scan-columns fails on a per-n tail that is off at n = 100 only,
+    naming the column, n and the scan; ratio-crossover fails on a second
+    moment whose closed form is off at n = 357."""
+    real_tail = verify.majority_tail
+    monkeypatch.setattr(
+        verify, "majority_tail", lambda n, eps: real_tail(n, eps) + (n == 100)
+    )
+    result = verify.check_ratio_scan_columns()
+    assert not result.passed
+    assert result.detail == (
+        "carried majority tail differs from the per-n route at n = 100; counterexample:\n"
+        "ratio-scan --n-range 1:200 --eps 1/50"
+    )
+    real_closed = verify.bernoulli_second_moment_closed_form
+    monkeypatch.setattr(
+        verify, "bernoulli_second_moment_closed_form", lambda m, n: real_closed(m, n) + (n == 357)
+    )
+    result = verify.check_ratio_crossover()
+    assert not result.passed
+    assert result.detail.startswith("second moment differs from its closed form at n")
+    assert result.detail.endswith("counterexample:\n357")
 
 
 def test_verify_reports_a_raising_route_and_goes_on(monkeypatch, capsys):
@@ -480,6 +505,29 @@ def test_ratio_scan_json(capsys):
     assert payload["command"] == "ratio-scan"
     assert [row["n"] for row in payload["rows"]] == [2, 3]
     assert payload["rows"][0]["ratio"] == "61/49"
+
+
+# sha256 of `ratio-scan --n-range 1:40` by format, as the per-n scan printed
+# it before the columns were carried across n.  bench/golden.json skips the
+# decimal columns; these pin every byte.
+RATIO_SCAN_1_40_SHA256 = {
+    "text": "5eea063ecc079a1131dd95cc41fa36f5d34f8560143e12e7e2cde21c18bf919f",
+    "csv": "c5d3e0330e118bf4fb8a850f01f62b6d8a502df152fa17281467af8a2a9a43aa",
+    "json": "b3b0c1d3f7a9a8da73b54c61e8a8efd487834bef3fb9d28ac9102239de918484",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RATIO_SCAN_1_40_SHA256))
+def test_ratio_scan_bytes_pinned(fmt, capsys):
+    code, out, err = run_cli(capsys, "ratio-scan", "--n-range", "1:40", "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == RATIO_SCAN_1_40_SHA256[fmt]
+
+
+def test_ratio_scan_refuses_eps_out_of_domain(capsys):
+    code, out, err = run_cli(capsys, "ratio-scan", "--n-range", "3:5", "--eps", "1/49")
+    assert code == 1 and out == ""
+    assert err.startswith("error: needs 0 < eps <= 1/50")
 
 
 @contextmanager

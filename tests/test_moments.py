@@ -1,10 +1,13 @@
 """Ensemble moment formulas against the enumeration oracle and each other."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import ceil, comb, factorial, isqrt, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcount.ensembles import EnsembleKind, EnsembleSpec
 from matchcount.errors import CapacityError, DomainError
@@ -13,12 +16,15 @@ from matchcount.moments import (
     bernoulli_mean_matchings,
     bernoulli_second_moment,
     bernoulli_second_moment_closed_form,
+    carried_majority_tails,
+    carried_moments,
     edge_count_mean_matchings,
     edge_count_second_moment,
     ensemble_moment_oracle,
     majority_tail,
     mean_matchings_bounds,
     meets_power_threshold,
+    ratio_scan_columns,
     second_moment_diag_lower_bound,
     to_decimal,
 )
@@ -302,6 +308,47 @@ def test_majority_tail_never_exceeds_half():
         assert all(v <= Fraction(1, 2) for v in values)
         # nonincreasing in eps
         assert all(x >= y for x, y in zip(values, values[1:]))
+
+
+@cache
+def per_n_row(n, eps):
+    """The carried scan's row at n, by the per-n functions."""
+    return n, bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n), majority_tail(n, eps)
+
+
+SCAN_EPS = [Fraction(1, 50), Fraction(1, 97), Fraction(1, 1000)]
+
+
+@pytest.mark.parametrize("eps", SCAN_EPS, ids=str)
+def test_carried_rows_equal_the_per_n_functions(eps):
+    """Every carried row for n <= 60 equals the per-n functions, in lowest
+    terms (Fraction equality compares numerator and denominator)."""
+    rows = list(ratio_scan_columns(1, 60, eps))
+    assert [row[0] for row in rows] == list(range(1, 61))
+    for row in rows:
+        assert row == per_n_row(row[0], eps)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 80), st.integers(0, 80), st.sampled_from(SCAN_EPS))
+def test_carried_sub_ranges_equal_the_per_n_functions(lo, span, eps):
+    """A scan started at any lo carries the same rows as the per-n functions."""
+    hi = min(lo + span, 80)
+    assert list(ratio_scan_columns(lo, hi, eps)) == [per_n_row(n, eps) for n in range(lo, hi + 1)]
+
+
+def test_carried_scan_domain():
+    """The scan refuses what the per-n functions refuse, and an empty range is empty."""
+    with pytest.raises(DomainError):
+        list(ratio_scan_columns(0, 3, Fraction(1, 50)))
+    with pytest.raises(DomainError):
+        list(carried_moments(0, 3))
+    with pytest.raises(DomainError):
+        list(carried_majority_tails(0, 3, Fraction(1, 50)))
+    for eps in (Fraction(0), Fraction(1, 49), Fraction(-1, 100)):
+        with pytest.raises(DomainError):
+            list(ratio_scan_columns(2, 3, eps))
+    assert list(ratio_scan_columns(5, 4, Fraction(1, 50))) == []
 
 
 def test_edge_count_mean_known_values():
