@@ -58,18 +58,20 @@ at most CHUNK_BITS: ints of 8 KiB spared the page faults that made steps
 on one multi-megabyte layer slow.
 
 A component takes c > 0 when the sweep may skip, it is wider than
-DICT_MAX_WIDTH, b is at most MAX_LANE_BITS, and two layers of 2^width lanes
-of b bits fit PACKED_BYTES, all known before any work starts; otherwise it
-takes c = 0.  The rm sweep cannot skip, so most of its states die and a
-sparse dict of single states beats lanes for every state; a lane must also
-keep its weight when its row takes a column, which only a skip sweep does.
-A component of width 4 or less costs less as single states than its lane
-masks would, and small and sparse inputs consist mostly of such
-components.  The amm bound of a tall component grows with its rows, and
-lanes that wide cost more than single weights that start at 1.  On one
-core of a 2-vCPU Xeon, a fair-coin 18x18 took 0.1-0.2 s for its count and
-profile and 0.3-0.4 s for its amm moment at c > 0, against 4-6 s each at
-c = 0.
+DICT_MAX_WIDTH and b is at most MAX_LANE_BITS, all known before any work
+starts; otherwise it takes c = 0.  The rm sweep cannot skip, so most of its
+states die and a sparse dict of single states beats lanes for every state;
+a lane must also keep its weight when its row takes a column, which only a
+skip sweep does.  A component of width 4 or less costs less as single
+states than its lane masks would, and small and sparse inputs consist
+mostly of such components.  The amm bound of a tall component grows with
+its rows, and lanes that wide cost more than single weights that start at
+1.  Two packed layers hold 2^width lanes of b bits, at most 4 GiB at width
+24, while the dict holds about 100 bytes plus a weight per reachable state.
+On one core of a 2-vCPU Xeon, a fair-coin 18x18 took 0.1-0.2 s for its
+count and profile and 0.3-0.4 s for its amm moment at c > 0, against 4-6 s
+each at c = 0; the amm moment of the 24x24 tridiagonal band took 0.6-0.8 s
+and 435 MB at c > 0, against 36-42 s and 3.78 GB at c = 0.
 
 The permanent is not swept: permanent_ryser evaluates Ryser's formula, so
 the permanent route checks the sweep with no mechanics in common.  It sums
@@ -91,8 +93,8 @@ from .errors import (
 from .estimators import Method
 from .matrix import ZeroOneMatrix, build_transformed
 
-# A component's sweep holds up to 2^width states per layer; width 24 is the
-# point where a dense worst case stops fitting in desk-scale memory.
+# A component's sweep holds up to 2^width states per layer; at width 24 a
+# fair-coin 24x24 took 435 MB (count) to 818 MB (amm moment) packed.
 MAX_SWEEP_WIDTH = 24
 # Components at most this wide keep the dict layer even when they could be
 # packed: their dict sweep costs less than building lane masks.
@@ -106,10 +108,6 @@ CHUNK_BITS = 1 << 16
 # row.  The amm bound grows with the row count, and on tall components the
 # dict caught up with packed near b = 1000 at width 5 and b = 1500 at width 8.
 MAX_LANE_BITS = 1024
-# A packed sweep holds two layers of 2^width lanes of b bits, the one it reads
-# and the one it builds; it runs only when they fit this budget.  256 MiB
-# admits width 24 at b <= 64, where the dict would hold 2^24 states.
-PACKED_BYTES = 256 << 20
 # Ryser's formula visits up to 2^n terms, all of them when no row repeats.
 MAX_RYSER_COLS = 20
 # The permanent route builds a 2n x 2n matrix for Ryser.
@@ -138,13 +136,15 @@ def _lane_bits(rows, weighted: bool) -> int:
 def _layout(width: int, rows, skip: bool, weighted: bool) -> tuple[int, int]:
     """(b, c) of this component's sweep: lanes of b bits, 2^c of them per
     int, or (0, 0) for the dict layer.  Packing needs the skip branch, a
-    component wider than DICT_MAX_WIDTH, b <= MAX_LANE_BITS, and two layers
-    of 2^width lanes of b bits within PACKED_BYTES; c is then the most low
-    columns whose 2^c lanes fit CHUNK_BITS, at least 6 as b <= 1024."""
+    component wider than DICT_MAX_WIDTH and b <= MAX_LANE_BITS; c is then
+    the most low columns whose 2^c lanes fit CHUNK_BITS, at least 6 as
+    b <= 1024.  Layer size never picks the dict: a dense width-24 layer is
+    smaller packed (435 MB for the tridiagonal band's amm moment) than on
+    the dict (3.78 GB)."""
     if not skip or width <= DICT_MAX_WIDTH:
         return 0, 0
     b = _lane_bits(rows, weighted)
-    if b > MAX_LANE_BITS or (b << width) // 4 > PACKED_BYTES:
+    if b > MAX_LANE_BITS:
         return 0, 0
     return b, min(width, (CHUNK_BITS // b).bit_length() - 1)
 

@@ -62,7 +62,7 @@ from .moments import (
     meets_power_threshold,
     ratio_scan_columns,
 )
-from .oracles import brute_force_matching_count, brute_force_matching_profile, permanent_naive
+from .oracles import brute_force_matching_profile, permanent_naive
 from .streams import RandomStream
 
 
@@ -112,18 +112,9 @@ def _each(name: str, cases, compare, noun: str) -> CheckResult:
     return CheckResult(name, failure is None, failure or f"{seen} {noun}", elapsed)
 
 
-def check_count_vs_enumeration(shapes=_SMALL_SHAPES) -> CheckResult:
-    """count_all_matchings against per-matching brute-force enumeration."""
-
-    def compare(a):
-        got, expect = count_all_matchings(a), brute_force_matching_count(a)
-        return got != expect and f"count {got}, enumeration says {expect}"
-
-    return _each("count-vs-enumeration", _fair_coin_matrices(shapes), compare, "matrices agree")
-
-
-def check_profile_vs_enumeration() -> CheckResult:
-    """matching_profile against brute-force enumeration by size, plus sum check."""
+def check_profile_vs_enumeration(shapes=_SMALL_SHAPES) -> CheckResult:
+    """matching_profile against brute-force enumeration by size, and
+    count_all_matchings against the profile's sum."""
 
     def compare(a):
         got, expect = matching_profile(a), brute_force_matching_profile(a)
@@ -131,7 +122,7 @@ def check_profile_vs_enumeration() -> CheckResult:
             return f"profile {got}, enumeration says {expect}"
         return sum(got) != count_all_matchings(a) and f"profile sum {sum(got)} != count"
 
-    matrices = _fair_coin_matrices(_SMALL_SHAPES)
+    matrices = _fair_coin_matrices(shapes)
     return _each("profile-vs-enumeration", matrices, compare, "profiles agree")
 
 
@@ -509,7 +500,6 @@ def check_trial_determinism() -> CheckResult:
 
 
 SMALL_CHECKS = [
-    check_count_vs_enumeration,
     check_profile_vs_enumeration,
     check_permanent_vs_naive,
     check_permanent_route,
@@ -527,7 +517,7 @@ SMALL_CHECKS = [
 
 
 FULL_EXTRAS = [
-    partial(check_count_vs_enumeration, shapes=[(4, 4)]),
+    partial(check_profile_vs_enumeration, shapes=[(4, 4)]),
     partial(check_transformed_equivalence, shapes=[(3, 3)]),
     check_ratio_bound_random,
     check_peak_sandwich,

@@ -192,7 +192,7 @@ def test_package_runs_as_a_module():
 def test_only_verify_loads_the_check_modules():
     """A fresh import of the command line leaves verify and oracles unloaded,
     so exact, estimate and moments never compile them; verify itself still
-    loads them and passes its 14 small checks."""
+    loads them and passes its 13 small checks."""
     env = dict(os.environ, PYTHONPATH=str(Path(matchcount.__file__).parents[1]))
     probe = (
         "import sys, matchcount.cli; "
@@ -208,7 +208,7 @@ def test_only_verify_loads_the_check_modules():
     )
     assert proc.returncode == 0, proc.stderr
     rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert [row[1] for row in rows[1:]] == ["pass"] * 14
+    assert [row[1] for row in rows[1:]] == ["pass"] * 13
 
 
 def test_exact_out_file(tmp_path, capsys):
@@ -382,7 +382,7 @@ def test_verify_small_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 15  # header + 14 checks
+    assert len(rows) == 14  # header + 13 checks
     assert all(row[1] == "pass" for row in rows[1:])
 
 
@@ -391,17 +391,18 @@ def test_verify_full_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 23  # header + 14 small checks + 8 full extras
+    assert len(rows) == 22  # header + 13 small checks + 8 full extras
     assert all(row[1] == "pass" for row in rows[1:])
 
 
 def test_verify_reports_counterexample(monkeypatch, capsys):
-    """A corrupted counting routine must fail verify with the matrix shown."""
+    """A corrupted counting routine must fail verify with the matrix shown:
+    profile-vs-enumeration checks the count against the profile's sum."""
     real = verify.count_all_matchings
     monkeypatch.setattr(verify, "count_all_matchings", lambda a: real(a) + 1)
-    result = verify.check_count_vs_enumeration()
+    result = verify.check_profile_vs_enumeration()
     assert not result.passed
-    assert "counterexample:" in result.detail
+    assert "!= count; counterexample:" in result.detail
     tail = result.detail.split("counterexample:\n", 1)[1]
     assert read_matrix(tail).rows >= 1
 
@@ -474,7 +475,7 @@ def test_verify_reports_a_raising_route_and_goes_on(monkeypatch, capsys):
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 15  # header + 14 checks
+    assert len(rows) == 14  # header + 13 checks
     failed = [row for row in rows[1:] if row[1] != "pass"]
     assert [row[:2] for row in failed] == [["permanent-route", "FAIL"]]
     detail = failed[0][3]

@@ -488,14 +488,23 @@ def fair_coin(m, n, seed):
     return sample_matrix(spec, RandomStream(seed, 0))
 
 
+def band(n, reach):
+    """n x n, row i with ones at columns i - reach .. i + reach."""
+    full = (1 << n) - 1
+    return ZeroOneMatrix(
+        n, n, tuple(((1 << (2 * reach + 1)) - 1) << i >> reach & full for i in range(n))
+    )
+
+
 def test_packing_rule():
     """(b, c) packs only skip sweeps wider than DICT_MAX_WIDTH with lanes of
-    at most MAX_LANE_BITS whose two layers fit PACKED_BYTES, with the most
-    low columns c <= width whose 2^c lanes fit CHUNK_BITS; everything else
-    takes the dict, (0, 0).  The band of side 24 fits, a fair-coin 24x24
-    does not, and the amm lanes of a 3000-row component are too wide.  The
-    rm sweep, which cannot skip, takes (0, 0) at every width: the c > 0
-    sweep assumes the skip branch."""
+    at most MAX_LANE_BITS, with the most low columns c <= width whose 2^c
+    lanes fit CHUNK_BITS; everything else takes the dict, (0, 0).  No byte
+    budget applies: the bidiagonal band of side 24, a fair-coin 24x24 and
+    the amm moments of the tridiagonal and pentadiagonal bands of side 24
+    pack, and the amm lanes of a 3000-row component are too wide.  The rm
+    sweep, which cannot skip, takes (0, 0) at every width: the c > 0 sweep
+    assumes the skip branch."""
     ones5 = list(ZeroOneMatrix.ones(5, 5).row_masks)
     assert _lane_bits(ones5, False) == 16 and _lane_bits(ones5, True) == 32
     assert _layout(5, ones5, True, False) == (16, 5)
@@ -511,11 +520,11 @@ def test_packing_rule():
     assert _layout(5, tall, True, False) == (_lane_bits(tall, False), 5) == (64, 5)
     assert _lane_bits(tall, True) > exact.MAX_LANE_BITS
     assert _layout(5, tall, True, True) == (0, 0)
-    band = list(bidiagonal(24).row_masks)
-    assert _layout(24, band, True, False) == (40, 10)
+    assert _layout(24, list(bidiagonal(24).row_masks), True, False) == (40, 10)
     dense = list(fair_coin(24, 24, 0).row_masks)
-    assert _lane_bits(dense, False) << 24 > 4 * exact.PACKED_BYTES
-    assert _layout(24, dense, True, False) == (0, 0)
+    assert _layout(24, dense, True, False) == (96, 9)
+    assert _layout(24, list(band(24, 1).row_masks), True, True) == (96, 9)
+    assert _layout(24, list(band(24, 2).row_masks), True, True) == (128, 9)
 
 
 def record_layouts(monkeypatch):
@@ -531,20 +540,22 @@ def record_layouts(monkeypatch):
     return seen
 
 
-def test_over_budget_components_take_the_dict(monkeypatch):
-    """With no byte budget every component takes the dict, c = 0, with the same results."""
+def test_packed_components_match_the_dict_sweep(monkeypatch):
+    """Count, profile and amm moment of packed components (c > 0) equal
+    those of one dict-layer (c = 0) sweep over the whole matrix."""
     inputs = [fair_coin(m, n, 1) for m, n in ((6, 6), (9, 7), (5, 12))]
-
-    def quantities(a):
-        return count_all_matchings(a), matching_profile(a), amm_trial_second_moment(a)
-
     seen = record_layouts(monkeypatch)
-    want = [quantities(a) for a in inputs]
-    assert all(seen)
-    seen.clear()
-    monkeypatch.setattr(exact, "PACKED_BYTES", 0)
-    assert [quantities(a) for a in inputs] == want
-    assert len(seen) == 9 and not any(seen)
+    for a in inputs:
+        got = count_all_matchings(a), matching_profile(a), amm_trial_second_moment(a)
+        assert got == dict_quantities(a)
+    assert len(seen) == 9 and all(seen)
+
+
+def test_band_amm_moments_at_full_width():
+    """The amm moments of the tridiagonal and pentadiagonal bands of side 24,
+    swept packed, equal the values the dict layer (c = 0) gave for them."""
+    assert amm_trial_second_moment(band(24, 1)) == 4628541889788168737851392
+    assert amm_trial_second_moment(band(24, 2)) == 6063323974210945707945128143888
 
 
 def corpus(workload):
