@@ -65,7 +65,8 @@ ECHO_LIMIT = 8
 FORMULAS = ("thm3", "thm4", "thm5", "thm6", "thm7", "thm8-mean", "thm8-m2")
 
 # Largest n each command accepts, checked before any work.  At each moments
-# cap the slowest case took 2.5-8 s on one core of a 2-vCPU Xeon; ratio-scan
+# cap the slowest case took 2.5-8 s on one core of a 2-vCPU Xeon (thm4 at
+# n = 2000 2.9-3.4 s, thm6 at 2000 3.9-4.2 s, thm7 at 400 2.6-2.9 s); ratio-scan
 # reaches the paper's crossover range instead: its columns are carried across
 # n, so 1:700 took 163-167 s and 700:700, nearly all first tail, 27 s.
 MAX_N = {"thm3": 4000, "thm4": 2000, "thm5": 4000, "thm6": 2000, "thm7": 400,
@@ -115,18 +116,11 @@ class ResultRecord:
         return out
 
 
-def _thm6_row(n: int) -> tuple:
-    """thm6 at n by the per-n routes: mean, second moment, ratio, whether
-    the ratio meets n^(sqrt(n)/2), that threshold to DECIMAL_DIGITS digits,
-    and the diagonal lower bound."""
-    mean, second = bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n)
-    return mean, second, *_ratio_columns(n, mean, second)
-
-
 def _ratio_columns(n: int, mean: Fraction, second: Fraction) -> tuple:
-    """The rest of _thm6_row from its mean and second moment.  The threshold
-    is decided before it is rendered, so n < 1 is refused before the Decimal
-    power meets 0 ** 0."""
+    """thm6's columns past its mean and second moment at n: the ratio,
+    whether it meets n^(sqrt(n)/2), that threshold to DECIMAL_DIGITS digits,
+    and the diagonal lower bound.  The threshold is decided before it is
+    rendered, so n < 1 is refused before the Decimal power meets 0 ** 0."""
     ratio = second / mean**2
     meets = meets_power_threshold(ratio, n)
     with localcontext() as ctx:
@@ -328,7 +322,9 @@ def cmd_moments(args) -> tuple[ResultRecord, int]:
         record.flags["mean-le-n-peak"] = bounds.mean_le_n_peak
     elif formula == "thm6":
         _require(args, record, "n")
-        mean, second, ratio, meets, threshold, diag = _thm6_row(args.n)
+        mean = bernoulli_mean_matchings(args.n, args.n)
+        second = bernoulli_second_moment(args.n, args.n)
+        ratio, meets, threshold, diag = _ratio_columns(args.n, mean, second)
         record.put("mean", mean)
         record.put("second-moment", second)
         record.put("ratio", ratio)

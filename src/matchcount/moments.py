@@ -12,8 +12,11 @@ matrices with exactly m ones, mean and second moment of the matching count
 come from inclusion-exclusion over one and two fixed matchings.
 
 ratio-scan's square fair-coin columns (mean, second moment, majority tail)
-are also carried across n, each row from the one before; the per-n
-functions stay as their independent routes.
+are also carried across n, each row from the one before.  Each recurrence
+is written once: the per-n second moment steps the carried columns over the
+parallelogram that (m, n) needs, and the per-n tail is the carried tail's
+first row.  Their independent routes are the direct mean sum, the second
+moment's closed form and the tail's definition sum over math.comb.
 
 Each closed form sums int numerators over one fixed denominator (2^m, 4^m,
 4^n or C(n^2, m)) and builds one Fraction at the end; the independent routes
@@ -71,22 +74,36 @@ def bernoulli_mean_matchings(m: int, n: int) -> Fraction:
     return Fraction(sum(comb(m, k) * perm(n, k) << (m - k) for k in range(m + 1)), 1 << m)
 
 
-def bernoulli_second_moment(m: int, n: int) -> Fraction:
-    """Mean over m x n fair-coin matrices of the estimator's exact E[X^2].
+def _next_column(column: list[int], a: int, c: int) -> list[int]:
+    """Column l of u(i, l) = a u(i-1, l) + c u(i-1, l-1), u(0, l) = 1, from
+    column l-1: entries i = 0..k from entries i = 0..k-1, where a and c are
+    the coefficients at l."""
+    out = [1]
+    for below in column:
+        out.append(a * out[-1] + c * below)
+    return out
 
-    g(i, l) = 4^i f(i, l) for the second-moment coefficients satisfies
-    g(i, l) = 2(l+2) g(i-1, l) + (l^2+3l) g(i-1, l-1) with g(0, l) = 1;
-    row[t] holds g(i, n-m+t) after i rows, for t >= i.  The result is
-    g(m, n) / 4^m.
+
+def _second_moment_column(column: list[int], l: int) -> list[int]:
+    """Column l of g(i, l) = 2(l+2) g(i-1, l) + (l^2+3l) g(i-1, l-1), the
+    second-moment coefficients scaled by 4^i, from column l-1."""
+    return _next_column(column, 2 * (l + 2), l * l + 3 * l)
+
+
+def bernoulli_second_moment(m: int, n: int) -> Fraction:
+    """Mean over m x n fair-coin matrices of the estimator's exact E[X^2]:
+    g(m, n) / 4^m, with g the second-moment recurrence of carried_moments.
+
+    g(m, n) needs g(i, l) only where l - i >= n - m, so the columns start
+    at n - m + 1 from the one entry g(0, n - m) = 1, and column l holds
+    i = 0..l - n + m.
     """
     if not 0 <= m <= n:
         raise DomainError(f"needs 0 <= m <= n, got m={m}, n={n}")
-    row = [1] * (m + 1)
-    for i in range(1, m + 1):
-        for t in range(m, i - 1, -1):  # top down, so row[t - 1] is still g(i-1, .)
-            l = n - m + t
-            row[t] = 2 * (l + 2) * row[t] + (l * l + 3 * l) * row[t - 1]
-    return Fraction(row[m], 4**m)
+    g = [1]
+    for l in range(n - m + 1, n + 1):
+        g = _second_moment_column(g, l)
+    return Fraction(g[m], 4**m)
 
 
 def bernoulli_second_moment_closed_form(m: int, n: int) -> Fraction:
@@ -213,46 +230,8 @@ def meets_power_threshold(value: Fraction, n: int) -> bool:
         below = not below
 
 
-def _require_tail(n: int, eps) -> Fraction:
-    """eps as a Fraction, once n >= 1 and 0 < eps <= MAX_EPS are checked."""
-    if n < 1:
-        raise DomainError(f"needs n >= 1, got {n}")
-    eps = Fraction(eps)
-    if not 0 < eps <= MAX_EPS:
-        raise DomainError(f"needs 0 < eps <= {MAX_EPS}, got {eps}")
-    return eps
-
-
-def majority_tail(n: int, eps: Fraction) -> Fraction:
-    """Upper tail of the symmetric binomial on n^2 trials:
-    sum of C(n^2, i) / 2^(n^2) for i from ceil((1/2 + eps) n^2) to n^2.
-
-    Needs n >= 1 and 0 < eps <= MAX_EPS.  The lower limit is rounded up to
-    the next integer so the reported value never overstates the tail.
-    """
-    eps = _require_tail(n, eps)
-    cells = n * n
-    lower = ceil((Fraction(1, 2) + eps) * cells)
-    term = comb(cells, lower)  # C(cells, i), stepped exactly to C(cells, i + 1)
-    total = 0
-    for i in range(lower, cells + 1):
-        total += term
-        term = term * (cells - i) // (i + 1)
-    return Fraction(total, 2**cells)
-
-
 # ---------------------------------------------------------------------------
 # The square fair-coin columns carried across n, as ratio-scan tabulates them.
-# The per-n functions above are their independent routes.
-
-
-def _next_column(column: list[int], a: int, c: int) -> list[int]:
-    """Column l of u(i, l) = a u(i-1, l) + c u(i-1, l-1), u(0, l) = 1, for
-    i = 0..l, from column l-1 (i = 0..l-1); a and c are the coefficients at l."""
-    out = [1]
-    for below in column:
-        out.append(a * out[-1] + c * below)
-    return out
 
 
 def carried_moments(lo: int, hi: int) -> Iterator[tuple[int, Fraction, Fraction]]:
@@ -273,7 +252,7 @@ def carried_moments(lo: int, hi: int) -> Iterator[tuple[int, Fraction, Fraction]
     h = g = [1]
     for l in range(1, hi + 1):
         h = _next_column(h, 2, l)
-        g = _next_column(g, 2 * (l + 2), l * l + 3 * l)
+        g = _second_moment_column(g, l)
         if l >= lo:
             yield l, Fraction(h[l], 1 << l), Fraction(g[l], 4**l)
 
@@ -307,12 +286,16 @@ def carried_majority_tails(lo: int, hi: int, eps) -> Iterator[Fraction]:
         C(N, L-1) = C L / (N-L+1),  T <- 2T + C(N, L-1),  C <- C + C(N, L-1),
     and one more step of the lower limit is
         T <- T - C,  C <- C (N-L) / (L+1),
-    each exact.  So a row costs O(n) steps on n^2-bit integers, where
-    majority_tail sums O(n^2) terms.  The row at lo sums its tail from the
-    top, C(N, i-1) = C(N, i) i / (N-i+1), whose last term is C(N, L): that
-    costs what majority_tail(lo, eps) does, less its math.comb and its gcd.
+    each exact.  So a row costs O(n) steps on n^2-bit integers.  The row at
+    lo sums its O(lo^2) terms from the top, C(N, i-1) = C(N, i) i / (N-i+1),
+    whose last term is C(N, L), and reduces by its trailing zero bits only.
     """
-    half = Fraction(1, 2) + _require_tail(lo, eps)
+    if lo < 1:
+        raise DomainError(f"needs n >= 1, got {lo}")
+    eps = Fraction(eps)
+    if not 0 < eps <= MAX_EPS:
+        raise DomainError(f"needs 0 < eps <= {MAX_EPS}, got {eps}")
+    half = Fraction(1, 2) + eps
     cells = lo * lo
     lower = ceil(half * cells)
     term = total = 1
@@ -332,6 +315,17 @@ def carried_majority_tails(lo: int, hi: int, eps) -> Iterator[Fraction]:
                 term = term * (cells - lower) // (lower + 1)
                 lower += 1
         yield _dyadic(total, cells)
+
+
+def majority_tail(n: int, eps: Fraction) -> Fraction:
+    """Upper tail of the symmetric binomial on n^2 trials:
+    sum of C(n^2, i) / 2^(n^2) for i from ceil((1/2 + eps) n^2) to n^2,
+    the first row of carried_majority_tails.
+
+    Needs n >= 1 and 0 < eps <= MAX_EPS.  The lower limit is rounded up to
+    the next integer so the reported value never overstates the tail.
+    """
+    return next(carried_majority_tails(n, n, eps))
 
 
 def ratio_scan_columns(

@@ -13,12 +13,14 @@ next check.
 
 Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
 "full" adds the 4x4 exhaustive sweep, the transform equivalence on every
-3x3 matrix, random 8x8 ratio-bound checks, the peak sandwich
-peak <= mean <= n peak up to n = 100, the disjoint-union factorisation of
-count and profile, closed-form counts and profiles of all-ones, band and
-identity matrices at full width, the exact crossover of the ensemble
-ratio at n = 357 with two routes per moment, and ratio-scan's carried
-columns against the per-n functions.
+3x3 matrix (each check named for its shape), random 8x8 ratio-bound checks,
+the peak sandwich peak <= mean <= n peak up to n = 100, the disjoint-union
+factorisation of count and profile, closed-form counts and profiles of
+all-ones, band and identity matrices at full width, the exact crossover of
+the ensemble ratio at n = 357 with two routes per moment, and ratio-scan's
+carried columns against the direct mean sum, the second moment's closed
+form and a fresh first row of the tail, whose own second route is its
+definition sum.
 
 Production routes and oracles are looked up by module-global name when a
 check runs, so a patched or wrapped function is the one checked.
@@ -27,9 +29,9 @@ check runs, so a patched or wrapped function is the one checked.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain
-from math import comb, factorial
+from math import ceil, comb, factorial
 from typing import NamedTuple
 
 from .ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble, sample_matrix
@@ -112,7 +114,7 @@ def _each(name: str, cases, compare, noun: str) -> CheckResult:
     return CheckResult(name, failure is None, failure or f"{seen} {noun}", elapsed)
 
 
-def check_profile_vs_enumeration(shapes=_SMALL_SHAPES) -> CheckResult:
+def check_profile_vs_enumeration(shapes=_SMALL_SHAPES, suffix="") -> CheckResult:
     """matching_profile against brute-force enumeration by size, and
     count_all_matchings against the profile's sum."""
 
@@ -123,7 +125,7 @@ def check_profile_vs_enumeration(shapes=_SMALL_SHAPES) -> CheckResult:
         return sum(got) != count_all_matchings(a) and f"profile sum {sum(got)} != count"
 
     matrices = _fair_coin_matrices(shapes)
-    return _each("profile-vs-enumeration", matrices, compare, "profiles agree")
+    return _each("profile-vs-enumeration" + suffix, matrices, compare, "profiles agree")
 
 
 def check_permanent_vs_naive() -> CheckResult:
@@ -186,14 +188,14 @@ def check_rm_unbiased() -> CheckResult:
     return _each("rm-unbiased", _fair_coin_matrices(_SQUARES[1:]), compare, "matrices unbiased")
 
 
-def check_transformed_equivalence(shapes=_SQUARES[1:3]) -> CheckResult:
+def check_transformed_equivalence(shapes=_SQUARES[1:3], suffix="") -> CheckResult:
     """Exact law equality of amm-on-A and scaled rm-on-transformed, exhaustive."""
 
     def compare(a):
         transformed_equivalence_check(a)  # raises EquivalenceViolationError on a mismatch
 
     matrices = _fair_coin_matrices(shapes)
-    return _each("transformed-equivalence", matrices, compare, "matrices equivalent")
+    return _each("transformed-equivalence" + suffix, matrices, compare, "matrices equivalent")
 
 
 def _ratio_bounded(a: ZeroOneMatrix):
@@ -379,38 +381,42 @@ def check_edge_count_formulas() -> CheckResult:
 
 
 def check_majority_tail() -> CheckResult:
-    """Tail spots and its safe properties for 1 <= n <= 10: nonincreasing in
-    eps, never above 1/2."""
+    """Tail against its definition sum, C(N, i) from math.comb summed over
+    i >= ceil((1/2 + eps) N) and over 2^N with N = n^2, for 1 <= n <= 10 at
+    four eps; spots; and its safe properties: nonincreasing in eps, never
+    above 1/2."""
     grid = [Fraction(1, 1000), Fraction(1, 200), Fraction(1, 100), Fraction(1, 50)]
     spots = {1: Fraction(1, 2), 2: Fraction(5, 16)}  # at eps = 1/50
 
     def compare(n):
         tails = [majority_tail(n, eps) for eps in grid]
+        for eps, tail in zip(grid, tails):
+            lower = ceil((Fraction(1, 2) + eps) * n * n)
+            if tail * 2 ** (n * n) != sum(comb(n * n, i) for i in range(lower, n * n + 1)):
+                return f"tail at eps {eps} differs from the definition sum at n"
         if tails[-1] != spots.get(n, tails[-1]):
             return f"tail at eps 1/50 is {tails[-1]}, not {spots[n]}, at n"
         if any(late > early for early, late in zip(tails, tails[1:])):
             return "tail increases in eps at n"
         return max(tails) > Fraction(1, 2) and "tail above 1/2 at n"
 
-    noun = "values of n: spots exact, nonincreasing in eps, never above 1/2"
+    noun = "values of n: definition sums and spots exact, nonincreasing in eps, never above 1/2"
     return _each("majority-tail", range(1, 11), compare, noun)
 
 
 def check_ratio_crossover() -> CheckResult:
     """The fair-coin ensemble ratio E[X^2] / E[X]^2 of n x n matrices is
     below n^(sqrt(n)/2) at n = 356 and at or above it at n = 357, decided
-    exactly.  Each moment there has a second route: the second moment's
-    closed form, and both recurrences carried across n (the tail is not)."""
+    exactly.  Both moments are carried across n, as ratio-scan computes
+    them, and each has a second route: the mean its direct sum, the second
+    moment its closed form."""
 
     def compare(n):
-        mean, second = bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n)
+        _, mean, second = next(carried_moments(n, n))
+        if mean != bernoulli_mean_matchings(n, n):
+            return "carried mean differs from the per-n sum at n"
         if second != bernoulli_second_moment_closed_form(n, n):
             return "second moment differs from its closed form at n"
-        _, carried_mean, carried_second = next(carried_moments(n, n))
-        if carried_mean != mean:
-            return "carried mean differs from the per-n sum at n"
-        if carried_second != second:
-            return "carried second moment differs from the per-n recurrence at n"
         meets = meets_power_threshold(second / mean**2, n)
         side = "meets" if meets else "is below"
         return meets != (n == 357) and f"ratio {side} n^(sqrt(n)/2) at n"
@@ -429,25 +435,26 @@ class _ScanRange(NamedTuple):
 
 
 def check_ratio_scan_columns() -> CheckResult:
-    """ratio-scan's carried mean, second moment and majority tail against the
-    per-n functions at every n <= 40 and at n = 100 and 200, for eps = 1/50
-    and 1/1000, and once from a start at lo = 33."""
+    """ratio-scan's carried mean against its direct sum, second moment
+    against its closed form and majority tail against a fresh first row, at
+    every n <= 40 and at n = 100 and 200, for eps = 1/50 and 1/1000, and
+    once from a start at lo = 33."""
     checked = {*range(1, 41), 100, 200}
     scans = [_ScanRange(1, 200, Fraction(1, 50)), _ScanRange(1, 200, Fraction(1, 1000)),
              _ScanRange(33, 100, Fraction(1, 50))]
     columns = ("mean", "second moment", "majority tail")
+    closed_form = cache(bernoulli_second_moment_closed_form)  # shared by the scans
 
     def compare(scan):
         for n, *carried in ratio_scan_columns(*scan):
             if n not in checked:
                 continue
-            per_n = (bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n),
-                     majority_tail(n, scan.eps))
-            for column, got, want in zip(columns, carried, per_n):
+            fresh = (bernoulli_mean_matchings(n, n), closed_form(n, n), majority_tail(n, scan.eps))
+            for column, got, want in zip(columns, carried, fresh):
                 if got != want:
                     return f"carried {column} differs from the per-n route at n = {n}"
 
-    noun = "scans agree with the per-n routes at every checked n"
+    noun = "scans agree with the direct mean, closed form and fresh tail at every checked n"
     return _each("ratio-scan-columns", scans, compare, noun)
 
 
@@ -517,8 +524,8 @@ SMALL_CHECKS = [
 
 
 FULL_EXTRAS = [
-    partial(check_profile_vs_enumeration, shapes=[(4, 4)]),
-    partial(check_transformed_equivalence, shapes=[(3, 3)]),
+    partial(check_profile_vs_enumeration, shapes=[(4, 4)], suffix="-4x4"),
+    partial(check_transformed_equivalence, shapes=[(3, 3)], suffix="-3x3"),
     check_ratio_bound_random,
     check_peak_sandwich,
     check_component_product,

@@ -395,6 +395,18 @@ def test_verify_full_passes(capsys):
     assert all(row[1] == "pass" for row in rows[1:])
 
 
+@pytest.mark.parametrize("tier", ["small", "full"])
+def test_verify_check_names_are_unique(tier, monkeypatch):
+    """A csv or json reader can key each tier's rows by check name.  _each
+    is stubbed, so every check reports its name without running a case."""
+    monkeypatch.setattr(
+        verify, "_each", lambda name, cases, compare, noun: verify.CheckResult(name, True, noun, 0)
+    )
+    names = [result.name for result in verify.run_suite(tier)]
+    assert len(names) == (13 if tier == "small" else 21)
+    assert len(set(names)) == len(names), names
+
+
 def test_verify_reports_counterexample(monkeypatch, capsys):
     """A corrupted counting routine must fail verify with the matrix shown:
     profile-vs-enumeration checks the count against the profile's sum."""
@@ -523,6 +535,76 @@ def test_ratio_scan_bytes_pinned(fmt, capsys):
     code, out, err = run_cli(capsys, "ratio-scan", "--n-range", "1:40", "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == RATIO_SCAN_1_40_SHA256[fmt]
+
+
+# The json values (by sha256), decimals and flags of five moments records,
+# as the row-by-row second moment and the bottom-up math.comb tail printed
+# them before both ran the carried recurrences.
+MOMENTS_PINNED = {
+    "thm4 --n 200": (
+        {"value": "5ec59864999a5c095d1acc5a87bdd2598bdb23cfe4f15a846b131366d100be7e"},
+        {"value": "1.39647884453E+675"},
+        {},
+    ),
+    "thm4 --n 200 --m 77": (
+        {"value": "a3f285044b6554c2bfb64fbba20250360f4ca31d4c1080307773f66c6ef601f9"},
+        {"value": "3.76721568921E+294"},
+        {},
+    ),
+    "thm6 --n 60": (
+        {
+            "mean": "4c481299329ba6f006e250973363db86f458e48f185f003a357ea408c0c251db",
+            "second-moment": "a0d95179a99fcdc663c33f0f2d0161881ab32f148f504de7358ff0fe7d570d38",
+            "ratio": "b3fe74a8fef599b1b90f27059eb42cea5156e53ec1fe367c0ac85b8e93c90ffd",
+            "threshold": "7434d49f0862fd5d8c85b25c3264946e15bedf1aab381265be26027f4f7355f4",
+            "lower-bound-diag": "be95dcadd4df235f943df32f9fbc1e66dd15617ccdcee9a52f229c5db3db4be9",
+        },
+        {
+            "mean": "8.37691627537E+71",
+            "second-moment": "1.71832777560E+148",
+            "ratio": "24487.1172403",
+            "lower-bound-diag": "5.34912028428E+142",
+        },
+        {"ratio-ge-threshold": False},
+    ),
+    "thm7 --n 60": (
+        {"value": "9a3739650379039e0c5f816cf2d47e1a821b8ab2539704b0561dbd3aa9a90ca3"},
+        {"value": "0.00857230673408"},
+        {},
+    ),
+    "thm7 --n 120 --eps 1/1000": (
+        {"value": "c2700569050dd9c75c6c83bdd7b94b513bc4ba1a9282a9b98bfcae99d9be6257"},
+        {"value": "0.404519740382"},
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MOMENTS_PINNED))
+def test_moments_records_pinned(argv, capsys):
+    """Records carry elapsed_ms, so their fields are pinned, not their bytes."""
+    code, record = run_json(capsys, "moments", *argv.split())
+    assert code == 0
+    values = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in record["values"].items()}
+    assert (values, record["decimals"], record["flags"]) == MOMENTS_PINNED[argv]
+
+
+def test_theory_ops_match_the_benchmark_golden(monkeypatch, capsys):
+    """Every theory op of the benchmark, run in-process with --format json,
+    gives the values bench/golden.json pins for it, and verify passes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    from workloads import GOLDEN, Theory, fingerprints
+
+    ops = Theory.OPS + [argv for argv in Theory.TINY_OPS if argv[0] != "verify"]
+    for argv in ops:
+        code, record = run_json(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "verify":
+            assert all(row["status"] == "pass" for row in record["rows"])
+            continue
+        golden = GOLDEN["theory"][" ".join(argv)]
+        got = fingerprints(record)
+        assert {key: got.get(key) for key in golden} == golden, argv
 
 
 def test_ratio_scan_refuses_eps_out_of_domain(capsys):

@@ -281,7 +281,8 @@ def test_majority_tail_values():
 
 def test_majority_tail_matches_the_definition():
     """The running binomial equals the sum of C(n^2, i) over the tail."""
-    grid = [Fraction(1, 1000), Fraction(1, 200), Fraction(1, 100), Fraction(1, 50)]
+    grid = [Fraction(1, 1000), Fraction(1, 200), Fraction(1, 100), Fraction(1, 97),
+            Fraction(1, 50)]
     for n in range(1, 41):
         cells = n * n
         for eps in grid:
@@ -312,8 +313,11 @@ def test_majority_tail_never_exceeds_half():
 
 @cache
 def per_n_row(n, eps):
-    """The carried scan's row at n, by the per-n functions."""
-    return n, bernoulli_mean_matchings(n, n), bernoulli_second_moment(n, n), majority_tail(n, eps)
+    """The carried scan's row at n by routes that share no stepping with it:
+    the direct mean sum, the second moment's closed form and a fresh first
+    row of the tail."""
+    second = bernoulli_second_moment_closed_form(n, n)
+    return n, bernoulli_mean_matchings(n, n), second, majority_tail(n, eps)
 
 
 SCAN_EPS = [Fraction(1, 50), Fraction(1, 97), Fraction(1, 1000)]
@@ -321,7 +325,7 @@ SCAN_EPS = [Fraction(1, 50), Fraction(1, 97), Fraction(1, 1000)]
 
 @pytest.mark.parametrize("eps", SCAN_EPS, ids=str)
 def test_carried_rows_equal_the_per_n_functions(eps):
-    """Every carried row for n <= 60 equals the per-n functions, in lowest
+    """Every carried row for n <= 60 equals the per-n routes, in lowest
     terms (Fraction equality compares numerator and denominator)."""
     rows = list(ratio_scan_columns(1, 60, eps))
     assert [row[0] for row in rows] == list(range(1, 61))
@@ -332,7 +336,7 @@ def test_carried_rows_equal_the_per_n_functions(eps):
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(st.integers(1, 80), st.integers(0, 80), st.sampled_from(SCAN_EPS))
 def test_carried_sub_ranges_equal_the_per_n_functions(lo, span, eps):
-    """A scan started at any lo carries the same rows as the per-n functions."""
+    """A scan started at any lo carries the same rows as the per-n routes."""
     hi = min(lo + span, 80)
     assert list(ratio_scan_columns(lo, hi, eps)) == [per_n_row(n, eps) for n in range(lo, hi + 1)]
 
