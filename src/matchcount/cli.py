@@ -66,11 +66,12 @@ FORMULAS = ("thm3", "thm4", "thm5", "thm6", "thm7", "thm8-mean", "thm8-m2")
 
 # Largest n each command accepts, checked before any work.  At each moments
 # cap the slowest case took 2.5-8 s on one core of a 2-vCPU Xeon (thm4 at
-# n = 2000 2.9-3.4 s, thm6 at 2000 3.9-4.2 s, thm7 at 400 2.6-2.9 s); ratio-scan
+# n = 2000 2.9-3.4 s, thm6 at 2000 3.9-4.2 s, thm7 at 400 2.6-2.9 s, thm8-m2
+# at n = 140 4.3-5.3 s, its slowest m being near n^2/2); ratio-scan
 # reaches the paper's crossover range instead: its columns are carried across
 # n, so 1:700 took 163-167 s and 700:700, nearly all first tail, 27 s.
 MAX_N = {"thm3": 4000, "thm4": 2000, "thm5": 4000, "thm6": 2000, "thm7": 400,
-         "thm8-mean": 200, "thm8-m2": 40, "ratio-scan": 700}
+         "thm8-mean": 200, "thm8-m2": 140, "ratio-scan": 700}
 
 # estimate refuses trials * (TRIAL_SETUP + rows + ones) above MAX_TRIAL_WORK
 # before the first trial.  A trial builds one stream and hashes at most one

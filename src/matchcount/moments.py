@@ -7,9 +7,12 @@ second moment of the skip-allowing estimator follow a two-term recurrence
 
 whose coefficient pair (a, c) is (1, l/2) for the mean of the matching count
 and ((l+2)/2, (l^2+3l)/4) for the estimator's second moment.  The mean has a
-direct sum; the second moment runs the recurrence scaled by 4^m.  For n x n
-matrices with exactly m ones, mean and second moment of the matching count
-come from inclusion-exclusion over one and two fixed matchings.
+direct sum; the second moment runs the recurrence scaled by 4^m, and its
+closed form carries one table of complete homogeneous sums.  For n x n
+matrices with exactly m ones, the mean of the matching count sums over one
+fixed matching, and the second moment over pairs of matchings grouped by the
+size of their union, which fixes the chance that both are present: a table
+of such sums, one row per board side, makes it O(n^3) integer operations.
 
 ratio-scan's square fair-coin columns (mean, second moment, majority tail)
 are also carried across n, each row from the one before.  Each recurrence
@@ -51,15 +54,6 @@ def to_decimal(value) -> str:
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         return str(Decimal(frac.numerator) / Decimal(frac.denominator))
-
-
-def _complete_homogeneous(degree: int, xs: list[int]) -> int:
-    """Sum of all degree-`degree` monomials in xs (complete homogeneous symmetric)."""
-    g = [1] + [0] * degree
-    for x in xs:
-        for d in range(1, degree + 1):
-            g[d] += x * g[d - 1]
-    return g[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +103,23 @@ def bernoulli_second_moment(m: int, n: int) -> Fraction:
 def bernoulli_second_moment_closed_form(m: int, n: int) -> Fraction:
     """Same value as bernoulli_second_moment by the explicit summation:
     sum over k of P(n,k) * P(n+3,k) / 2^(m+k) * h_{m-k}(n+2, ..., n+2-k)
-    where h_d is the complete homogeneous symmetric polynomial."""
+    where h_d is the complete homogeneous symmetric polynomial.
+
+    One table h[d] carries h_d of the variables added so far: adding
+    x_k = n+2-k updates degrees 1..m-k in place, h_d += x_k h_{d-1}, and
+    h[m-k] is then read.  Degrees above m-k are never read again, so the
+    sum costs O(m^2) operations over the one denominator 4^m.
+    """
     if not 0 <= m <= n:
         raise DomainError(f"needs 0 <= m <= n, got m={m}, n={n}")
-    total = Fraction(0)
+    h = [1] + [0] * m
+    total = 0
     for k in range(m + 1):
-        coef = perm(n, k) * perm(n + 3, k)
-        if coef == 0:
-            continue
-        xs = [n + 2 - t for t in range(k + 1)]
-        total += Fraction(coef * _complete_homogeneous(m - k, xs), 2 ** (m + k))
-    return total
+        x = n + 2 - k
+        for d in range(1, m - k + 1):
+            h[d] += x * h[d - 1]
+        total += perm(n, k) * perm(n + 3, k) * h[m - k] << (m - k)
+    return Fraction(total, 4**m)
 
 
 @dataclass(frozen=True)
@@ -360,38 +360,47 @@ def edge_count_mean_matchings(n: int, m: int) -> Fraction:
     )
 
 
-def _avoiding_matchings(big: int, fixed: int, size: int) -> int:
-    """Number of size-edge matchings of K_{big,big} that use none of `fixed`
-    given disjoint edges: sum over r of (-1)^r C(fixed, r) C(big-r, size-r)^2 (size-r)!."""
-    return sum(
-        (-1) ** r * comb(fixed, r) * comb(big - r, size - r) ** 2 * factorial(size - r)
-        for r in range(min(fixed, size) + 1)
-    )
-
-
 def edge_count_second_moment(n: int, m: int) -> Fraction:
     """Second moment of the matching count of a uniform n x n matrix with m ones.
 
     E[X^2] sums, over ordered pairs (M1, M2) of matchings of K_{n,n}, the
     probability that both lie inside the matrix, which depends only on the
-    size of their union.  M1 has k edges (C(n, k)^2 k! choices), M2 shares j
-    of them (C(k, j)) and adds s edges on the n-j rows and columns those j
-    leave free, avoiding M1's other k-j edges; the union has k+s cells, all
-    present with count C(n^2-k-s, m-k-s) out of C(n^2, m).
+    size t of their union: P[t] = C(n^2-t, m-t) out of C(n^2, m).  M1 has k
+    edges (F[n][k] choices, where F[N][q] = C(N, q)^2 q! counts q-matchings
+    of K_{N,N}), M2 shares j of them (C(k, j)) and adds s edges on the n-j
+    rows and columns those j leave free, avoiding M1's k-j other edges; the
+    union has k+s cells.  Inclusion-exclusion over the r avoided edges that
+    M2 would hold counts those s-edge matchings as the sum over r of
+    (-1)^r C(k-j, r) F[n-j-r][s-r].  Grouping by q = s-r, not by s, gives
+        total = sum over k, j, r of F[n][k] C(k, j) (-1)^r C(k-j, r) G[n-j-r][k+r],
+        G[N][a] = sum over q of F[N][q] P[a+q].
+    Counting q-matchings by whether row N and column N are covered gives
+    F[N][q] = F[N-1][q] + (2N-1) F[N-1][q-1] - (N-1)^2 F[N-2][q-2], so row N
+    of G comes from rows N-1 and N-2 in O(n) steps, and the triple sum
+    costs O(n^3) operations over the one denominator C(n^2, m).
     """
     _require_edge_count(n, m)
+    cells = n * n
+    # row N of G holds a = 0..2n+2-N: the triple sum reads a <= 2n-N, and
+    # the recurrence reads rows N-1 and N-2 one and two entries further
+    contain = [comb(cells - t, m - t) if t <= m else 0 for t in range(2 * n + 3)]
+    grouped = [contain, [x + y for x, y in zip(contain, contain[1:])]]
+    for big in range(2, n + 1):
+        one, two = grouped[-1], grouped[-2]
+        grouped.append([
+            one[a] + (2 * big - 1) * one[a + 1] - (big - 1) ** 2 * two[a + 2]
+            for a in range(len(two) - 2)
+        ])
     total = 0
     for k in range(min(n, m) + 1):
-        first = comb(n, k) ** 2 * factorial(k)
+        inner = 0
         for j in range(k + 1):
-            shared = first * comb(k, j)
-            for s in range(min(n - j, m - k) + 1):
-                total += (
-                    shared
-                    * _avoiding_matchings(n - j, k - j, s)
-                    * comb(n * n - k - s, m - k - s)
-                )
-    return Fraction(total, comb(n * n, m))
+            free = k - j
+            inner += comb(k, j) * sum(
+                (-1) ** r * comb(free, r) * grouped[n - j - r][k + r] for r in range(free + 1)
+            )
+        total += comb(n, k) ** 2 * factorial(k) * inner
+    return Fraction(total, comb(cells, m))
 
 
 # ---------------------------------------------------------------------------

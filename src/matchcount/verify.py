@@ -13,7 +13,8 @@ next check.
 
 Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
 "full" adds the 4x4 exhaustive sweep, the transform equivalence on every
-3x3 matrix (each check named for its shape), random 8x8 ratio-bound checks,
+3x3 matrix, both fixed-ones moments over every 4x4 matrix with 4, 8 or 12
+ones (each check named for its shape), random 8x8 ratio-bound checks,
 the peak sandwich peak <= mean <= n peak up to n = 100, the disjoint-union
 factorisation of count and profile, closed-form counts and profiles of
 all-ones, band and identity matrices at full width, the exact crossover of
@@ -357,9 +358,12 @@ def check_second_moment_formula() -> CheckResult:
     return _each("second-moment-formula", grid, compare, noun)
 
 
-def check_edge_count_formulas() -> CheckResult:
-    """Fixed-ones mean and second moment against ensemble enumeration, n <= 3
-    and every m, plus three spots."""
+_EDGE_COUNT_GRID = [(n, m) for n in range(1, 4) for m in range(n * n + 1)]
+
+
+def check_edge_count_formulas(grid=_EDGE_COUNT_GRID, suffix="") -> CheckResult:
+    """Fixed-ones mean and second moment against ensemble enumeration at each
+    (n, m) of grid (by default n <= 3 and every m), plus three spots."""
     spots = {("mean", 2, 1): 2, ("mean", 2, 4): 7, ("second moment", 2, 4): 49}
 
     def compare(nm):
@@ -376,8 +380,8 @@ def check_edge_count_formulas() -> CheckResult:
             if got != spot:
                 return f"{label} {got}, spot {spot} at (n, m)"
 
-    grid = [(n, m) for n in range(1, 4) for m in range(n * n + 1)]
-    return _each("edge-count-formulas", grid, compare, "(n, m) points agree with enumeration")
+    noun = "(n, m) points agree with enumeration"
+    return _each("edge-count-formulas" + suffix, grid, compare, noun)
 
 
 def check_majority_tail() -> CheckResult:
@@ -532,6 +536,7 @@ FULL_EXTRAS = [
     check_closed_forms,
     check_ratio_crossover,
     check_ratio_scan_columns,
+    partial(check_edge_count_formulas, grid=[(4, 4), (4, 8), (4, 12)], suffix="-4x4"),
 ]
 
 

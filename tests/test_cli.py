@@ -16,7 +16,7 @@ import pytest
 
 import matchcount
 import matchcount.verify as verify
-from matchcount.cli import main
+from matchcount.cli import MAX_N, main
 from matchcount.exact import count_all_matchings
 from matchcount.matrix import read_matrix, write_matrix, ZeroOneMatrix
 from matchcount.moments import bernoulli_mean_matchings, majority_tail
@@ -356,6 +356,15 @@ def test_moments_thm8(capsys):
     assert record["values"]["value"] == "49"
 
 
+def test_moments_thm8_m2_refuses_past_cap_at_once(capsys):
+    """One past the cap is refused before any work, even with a single one."""
+    n = MAX_N["thm8-m2"] + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "moments", "thm8-m2", "--n", str(n), "--m", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err.startswith("error:") and out == ""
+
+
 def test_moments_missing_parameter(capsys):
     code, out, err = run_cli(capsys, "moments", "thm8-mean", "--n", "2")
     assert code == 1
@@ -391,7 +400,7 @@ def test_verify_full_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 22  # header + 13 small checks + 8 full extras
+    assert len(rows) == 23  # header + 13 small checks + 9 full extras
     assert all(row[1] == "pass" for row in rows[1:])
 
 
@@ -403,7 +412,7 @@ def test_verify_check_names_are_unique(tier, monkeypatch):
         verify, "_each", lambda name, cases, compare, noun: verify.CheckResult(name, True, noun, 0)
     )
     names = [result.name for result in verify.run_suite(tier)]
-    assert len(names) == (13 if tier == "small" else 21)
+    assert len(names) == (13 if tier == "small" else 22)
     assert len(set(names)) == len(names), names
 
 

@@ -110,6 +110,18 @@ def textbook_diag_bound(n):
     )
 
 
+def textbook_second_moment_closed_form(m, n):
+    """h_d(x_0..x_k) summed afresh for each k, one Fraction per k."""
+    total = Fraction(0)
+    for k in range(m + 1):
+        h = [1] + [0] * (m - k)
+        for x in range(n + 2 - k, n + 3):
+            for d in range(1, m - k + 1):
+                h[d] += x * h[d - 1]
+        total += Fraction(perm(n, k) * perm(n + 3, k) * h[m - k], 2 ** (m + k))
+    return total
+
+
 def textbook_edge_count_mean(n, m):
     return sum(
         comb(n, k) ** 2 * factorial(k) * Fraction(comb(n * n - k, m - k), comb(n * n, m))
@@ -122,6 +134,10 @@ def test_integer_sums_equal_textbook_sums():
         for m in range(n + 1):
             assert bernoulli_mean_matchings(m, n) == textbook_mean(m, n), (m, n)
         assert second_moment_diag_lower_bound(n) == textbook_diag_bound(n), n
+    for n in range(31):
+        for m in range(n + 1):
+            want = textbook_second_moment_closed_form(m, n)
+            assert bernoulli_second_moment_closed_form(m, n) == want, (m, n)
     for n in range(7):
         for m in range(n * n + 1):
             assert edge_count_mean_matchings(n, m) == textbook_edge_count_mean(n, m), (n, m)
@@ -377,11 +393,35 @@ def test_edge_count_second_moment_known_values():
     assert edge_count_second_moment(2, 4) == 49
 
 
+def _avoiding_matchings(big, fixed, size):
+    """Number of size-edge matchings of K_{big,big} that use none of `fixed`
+    given disjoint edges: sum over r of (-1)^r C(fixed, r) C(big-r, size-r)^2 (size-r)!."""
+    return sum(
+        (-1) ** r * comb(fixed, r) * comb(big - r, size - r) ** 2 * factorial(size - r)
+        for r in range(min(fixed, size) + 1)
+    )
+
+
+def per_pair_second_moment(n, m):
+    """The pair sum term by term: M1 with k edges, M2 sharing j of them and
+    adding s avoiding edges, their union of k+s cells present."""
+    total = 0
+    for k in range(min(n, m) + 1):
+        first = comb(n, k) ** 2 * factorial(k)
+        for j in range(k + 1):
+            shared = first * comb(k, j)
+            for s in range(min(n - j, m - k) + 1):
+                total += (
+                    shared
+                    * _avoiding_matchings(n - j, k - j, s)
+                    * comb(n * n - k - s, m - k - s)
+                )
+    return Fraction(total, comb(n * n, m))
+
+
 def test_avoiding_matchings_brute_force():
     """s-edge matchings of K_{N,N} that avoid the fixed edges (i, i), i < K."""
-    from itertools import combinations, permutations
-
-    from matchcount.moments import _avoiding_matchings
+    from itertools import permutations
 
     for big in range(5):
         for fixed in range(big + 1):
@@ -393,6 +433,15 @@ def test_avoiding_matchings_brute_force():
                     if all(not (r == c < fixed) for r, c in zip(rows, cols))
                 )
                 assert _avoiding_matchings(big, fixed, size) == count
+
+
+def test_edge_count_second_moment_matches_per_pair_sum():
+    """The grouped sum equals the term-by-term pair sum exactly."""
+    for n in range(9):
+        for m in range(n * n + 1):
+            assert edge_count_second_moment(n, m) == per_pair_second_moment(n, m), (n, m)
+    for n, m in ((20, 200), (40, 800)):
+        assert edge_count_second_moment(n, m) == per_pair_second_moment(n, m), (n, m)
 
 
 def test_edge_count_second_moment_pinned_beyond_the_oracle():
