@@ -1,6 +1,7 @@
 """Exact counting: matchings, permanents, and estimator second moments.
 
-Every production exact quantity comes from one forward sweep over the rows.
+Every production exact quantity except the rm mean (the permanent, by
+permanent_ryser) comes from one forward sweep over the rows.
 The state after row i is the set of columns used so far, as a bitmask, and
 each state carries an integer weight.  Row i either skips (when skipping is
 allowed) or takes one free 1-column, that is one in row_i & ~used:
@@ -413,8 +414,6 @@ def permanent_ryser(a: ZeroOneMatrix) -> int:
             f"permanent_ryser supports at most {MAX_RYSER_COLS} columns, got {a.cols}"
         )
     n = a.rows
-    if n == 0:
-        return 1
     k, rows, choices = _classes(a.row_masks)
     cols = _cross(rows, n)
     if 0 in rows or 0 in cols:

@@ -199,8 +199,6 @@ def meets_power_threshold(value: Fraction, n: int) -> bool:
         raise DomainError(f"needs n >= 1, got {n}")
     if value <= 0:
         return False
-    if n == 1:
-        return value >= 1
     squared = value * value
     root = isqrt(n)
     if root * root == n:
@@ -407,15 +405,16 @@ def edge_count_second_moment(n: int, m: int) -> Fraction:
 # Brute-force moment oracle over any enumerable ensemble.
 
 
-def ensemble_moment_oracle(
-    spec: EnsembleSpec, statistic: Callable[[ZeroOneMatrix], int]
-) -> Fraction:
-    """Exact ensemble expectation of statistic(a), by enumeration.
+def ensemble_moment_oracle(spec: EnsembleSpec, *statistics: Callable[[ZeroOneMatrix], int]):
+    """Exact ensemble expectation of each statistic(a), by one enumeration.
 
-    Weights each support matrix with its exact probability, so non-uniform
-    Bernoulli ensembles are handled too.  Subject to the enumeration caps.
+    Weights each support matrix with its exact probability, computed once per
+    matrix, so non-uniform Bernoulli ensembles are handled too.  One statistic
+    gives one Fraction; several give a tuple in the order given, like
+    operator.itemgetter.  Subject to the enumeration caps.
     """
-    return sum(
-        (matrix_probability(spec, a) * statistic(a) for a in enumerate_ensemble(spec)),
-        Fraction(0),
-    )
+    totals = [Fraction(0)] * len(statistics)
+    for a in enumerate_ensemble(spec):
+        p = matrix_probability(spec, a)
+        totals = [total + p * statistic(a) for total, statistic in zip(totals, statistics)]
+    return totals[0] if len(statistics) == 1 else tuple(totals)

@@ -11,11 +11,13 @@ cases.  The first mismatch, or the first exception a route raises, fails
 that check with the case as counterexample, and the suite goes on to the
 next check.
 
-Two tiers: "small" is exhaustive over tiny shapes and runs in seconds;
-"full" adds the 4x4 exhaustive sweep, the transform equivalence on every
-3x3 matrix, both fixed-ones moments over every 4x4 matrix with 4, 8 or 12
-ones (each check named for its shape), random 8x8 ratio-bound checks,
-the peak sandwich peak <= mean <= n peak up to n = 100, the disjoint-union
+Two tiers: "small" runs 12 checks, exhaustive over tiny shapes, in
+seconds; fair-coin-formulas and edge-count-formulas check each ensemble's
+moment formulas against one enumeration per grid point.  "full" adds nine:
+the 4x4 exhaustive sweep, the transform equivalence on every 3x3 matrix,
+both fixed-ones moments over every 4x4 matrix with 4, 8 or 12 ones (each
+check named for its shape), random 8x8 ratio-bound checks, the peak
+sandwich peak <= mean <= n peak up to n = 100, the disjoint-union
 factorisation of count and profile, closed-form counts and profiles of
 all-ones, band and identity matrices at full width, the exact crossover of
 the ensemble ratio at n = 357 with two routes per moment, and ratio-scan's
@@ -30,7 +32,7 @@ check runs, so a patched or wrapped function is the one checked.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain
 from math import ceil, comb, factorial
 from typing import NamedTuple
@@ -321,64 +323,59 @@ def check_closed_forms() -> CheckResult:
     return _each("closed-forms", known, compare, "matrices match their closed forms")
 
 
-def check_mean_formula() -> CheckResult:
-    """Fair-coin mean formula against ensemble enumeration, m <= n <= 3, and two spots."""
-    spots = {(1, 1): Fraction(3, 2), (2, 2): Fraction(7, 2)}
+def _moments_vs_enumeration(spec, moments, spots, point, axes: str):
+    """The first disagreement of moments, (label, route, value, statistic)
+    each, with one enumeration of spec that averages every statistic, or
+    with a spot value keyed by (label, *point); None if all agree."""
+    oracle = ensemble_moment_oracle(spec, *(statistic for *_, statistic in moments))
+    for (label, route, got, _), want in zip(moments, oracle):
+        if got != want:
+            return f"{label} {route} {got}, enumeration {want} at {axes}"
+        spot = spots.get((label, *point), got)
+        if got != spot:
+            return f"{label} {route} {got}, spot {spot} at {axes}"
+
+
+def check_fair_coin_formulas() -> CheckResult:
+    """Fair-coin moments at every m <= n <= 8: the second-moment recurrence
+    against its closed form, and where n <= 3 the mean formula and the
+    recurrence against one ensemble enumeration, plus three spots."""
+    spots = {("mean", 1, 1): Fraction(3, 2), ("mean", 2, 2): Fraction(7, 2),
+             ("second moment", 1, 1): Fraction(5, 2)}
 
     def compare(mn):
-        formula = bernoulli_mean_matchings(*mn)
-        oracle = ensemble_moment_oracle(_bernoulli_half(*mn), count_all_matchings)
-        if formula != oracle:
-            return f"formula {formula}, enumeration {oracle} at (m, n)"
-        if formula != spots.get(mn, formula):
-            return f"formula {formula}, spot {spots[mn]} at (m, n)"
-
-    grid = [(m, n) for n in range(4) for m in range(n + 1)]
-    return _each("mean-formula", grid, compare, "(m, n) points agree with enumeration")
-
-
-def check_second_moment_formula() -> CheckResult:
-    """Averaged estimator second moment, m <= n <= 8: the recurrence against
-    ensemble enumeration where n <= 3, the closed form everywhere, and 5/2 at (1, 1)."""
-
-    def compare(mn):
-        m, n = mn
-        dp = bernoulli_second_moment(m, n)
-        if n <= 3:
-            oracle = ensemble_moment_oracle(_bernoulli_half(m, n), amm_trial_second_moment)
-            if dp != oracle:
-                return f"recurrence {dp}, enumeration {oracle} at (m, n)"
-        closed = bernoulli_second_moment_closed_form(m, n)
-        if dp != closed:
-            return f"recurrence {dp}, closed form {closed} at (m, n)"
-        return mn == (1, 1) and dp != Fraction(5, 2) and f"recurrence {dp}, spot 5/2 at (m, n)"
+        second, closed = bernoulli_second_moment(*mn), bernoulli_second_moment_closed_form(*mn)
+        if second != closed:
+            return f"second moment recurrence {second}, closed form {closed} at (m, n)"
+        if mn[1] <= 3:
+            moments = [
+                ("mean", "formula", bernoulli_mean_matchings(*mn), count_all_matchings),
+                ("second moment", "recurrence", second, amm_trial_second_moment),
+            ]
+            return _moments_vs_enumeration(_bernoulli_half(*mn), moments, spots, mn, "(m, n)")
 
     grid = [(m, n) for n in range(9) for m in range(n + 1)]
-    noun = "(m, n) points agree with the closed form and enumeration"
-    return _each("second-moment-formula", grid, compare, noun)
+    noun = "(m, n) points agree with the closed form, and with enumeration where n <= 3"
+    return _each("fair-coin-formulas", grid, compare, noun)
 
 
 _EDGE_COUNT_GRID = [(n, m) for n in range(1, 4) for m in range(n * n + 1)]
 
 
 def check_edge_count_formulas(grid=_EDGE_COUNT_GRID, suffix="") -> CheckResult:
-    """Fixed-ones mean and second moment against ensemble enumeration at each
-    (n, m) of grid (by default n <= 3 and every m), plus three spots."""
+    """Fixed-ones mean and second moment against one ensemble enumeration at
+    each (n, m) of grid (by default n <= 3 and every m), plus three spots."""
     spots = {("mean", 2, 1): 2, ("mean", 2, 4): 7, ("second moment", 2, 4): 49}
 
     def compare(nm):
         n, m = nm
+        count = lru_cache(maxsize=1)(count_all_matchings)  # the square reuses the count
+        moments = [
+            ("mean", "formula", edge_count_mean_matchings(n, m), count),
+            ("second moment", "formula", edge_count_second_moment(n, m), lambda a: count(a) ** 2),
+        ]
         spec = EnsembleSpec(EnsembleKind.EXACT_ONES, m, n)
-        for label, formula, statistic in (
-            ("mean", edge_count_mean_matchings, count_all_matchings),
-            ("second moment", edge_count_second_moment, lambda a: count_all_matchings(a) ** 2),
-        ):
-            got, oracle = formula(n, m), ensemble_moment_oracle(spec, statistic)
-            if got != oracle:
-                return f"{label} {got}, enumeration {oracle} at (n, m)"
-            spot = spots.get((label, n, m), got)
-            if got != spot:
-                return f"{label} {got}, spot {spot} at (n, m)"
+        return _moments_vs_enumeration(spec, moments, spots, nm, "(n, m)")
 
     noun = "(n, m) points agree with enumeration"
     return _each("edge-count-formulas" + suffix, grid, compare, noun)
@@ -518,8 +515,7 @@ SMALL_CHECKS = [
     check_rm_unbiased,
     check_transformed_equivalence,
     check_ratio_bound,
-    check_mean_formula,
-    check_second_moment_formula,
+    check_fair_coin_formulas,
     check_edge_count_formulas,
     check_majority_tail,
     check_matrix_roundtrip,

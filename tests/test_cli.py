@@ -93,6 +93,35 @@ def test_exact_skips_cross_check_above_permanent_cap(capsys):
     )
 
 
+
+def test_exact_reports_a_permanent_route_that_disagrees(monkeypatch, tmp_path, capsys):
+    """A permanent route whose count n! divides but differs from the sweep's
+    fails exact, with the route's count shown next to the sweep's."""
+    real = matchcount.cli.count_matchings_via_permanent
+    monkeypatch.setattr(matchcount.cli, "count_matchings_via_permanent", lambda a: real(a) + 1)
+    code, record = run_json(capsys, "exact", "--input", write_ones_2x2(tmp_path))
+    assert code == 1
+    assert record["flags"]["permanent-route-match"] is False
+    assert record["values"]["count"] == "7"
+    assert record["values"]["permanent-route-count"] == "8"
+
+
+def test_estimate_notes_a_skipped_exact_side(tmp_path, capsys):
+    """rm's exact mean is Ryser's permanent, capped at 20 columns: on a 21x21
+    input estimate still reports its trials, with a note in json and text."""
+    path = tmp_path / "identity21.txt"
+    path.write_text(write_matrix(ZeroOneMatrix.identity(21)), encoding="utf-8")
+    argv = ["estimate", "--input", str(path), "--method", "rm", "--trials", "10"]
+    note = "exact side skipped: permanent_ryser supports at most 20 columns, got 21"
+    code, record = run_json(capsys, *argv)
+    assert code == 0
+    assert record["values"]["mean"] == "1"
+    assert "exact-value" not in record["values"]
+    assert record["notes"] == [note]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert f"\n  note: {note}\n" in out
+
 def test_exact_rejects_missing_file(capsys):
     code, out, err = run_cli(capsys, "exact", "--input", "/no/such/file.txt")
     assert code == 1
@@ -192,7 +221,7 @@ def test_package_runs_as_a_module():
 def test_only_verify_loads_the_check_modules():
     """A fresh import of the command line leaves verify and oracles unloaded,
     so exact, estimate and moments never compile them; verify itself still
-    loads them and passes its 13 small checks."""
+    loads them and passes its 12 small checks."""
     env = dict(os.environ, PYTHONPATH=str(Path(matchcount.__file__).parents[1]))
     probe = (
         "import sys, matchcount.cli; "
@@ -208,7 +237,7 @@ def test_only_verify_loads_the_check_modules():
     )
     assert proc.returncode == 0, proc.stderr
     rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert [row[1] for row in rows[1:]] == ["pass"] * 13
+    assert [row[1] for row in rows[1:]] == ["pass"] * 12
 
 
 def test_exact_out_file(tmp_path, capsys):
@@ -391,7 +420,7 @@ def test_verify_small_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 14  # header + 13 checks
+    assert len(rows) == 13  # header + 12 checks
     assert all(row[1] == "pass" for row in rows[1:])
 
 
@@ -400,7 +429,7 @@ def test_verify_full_passes(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 23  # header + 13 small checks + 9 full extras
+    assert len(rows) == 22  # header + 12 small checks + 9 full extras
     assert all(row[1] == "pass" for row in rows[1:])
 
 
@@ -412,7 +441,7 @@ def test_verify_check_names_are_unique(tier, monkeypatch):
         verify, "_each", lambda name, cases, compare, noun: verify.CheckResult(name, True, noun, 0)
     )
     names = [result.name for result in verify.run_suite(tier)]
-    assert len(names) == (13 if tier == "small" else 22)
+    assert len(names) == (12 if tier == "small" else 21)
     assert len(set(names)) == len(names), names
 
 
@@ -496,7 +525,7 @@ def test_verify_reports_a_raising_route_and_goes_on(monkeypatch, capsys):
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check", "status", "ms", "detail"]
-    assert len(rows) == 14  # header + 13 checks
+    assert len(rows) == 13  # header + 12 checks
     failed = [row for row in rows[1:] if row[1] != "pass"]
     assert [row[:2] for row in failed] == [["permanent-route", "FAIL"]]
     detail = failed[0][3]
@@ -504,6 +533,66 @@ def test_verify_reports_a_raising_route_and_goes_on(monkeypatch, capsys):
     counterexample = read_matrix(detail.split("counterexample:\n", 1)[1])
     assert (counterexample.rows, counterexample.cols) == (2, 2)
 
+
+
+def test_formula_checks_enumerate_each_grid_point_once(monkeypatch):
+    """Each formula check reads both of its moments from one enumeration per
+    grid point: 10 fair-coin points, 17 fixed-ones points and the 3 of the
+    4x4 rerun."""
+    specs = []
+    real = matchcount.moments.enumerate_ensemble
+    monkeypatch.setattr(
+        matchcount.moments, "enumerate_ensemble", lambda spec: specs.append(spec) or real(spec)
+    )
+    rerun = next(
+        check for check in verify.FULL_EXTRAS
+        if getattr(check, "func", None) is verify.check_edge_count_formulas
+    )
+    for check, points in (
+        (verify.check_fair_coin_formulas, 10), (verify.check_edge_count_formulas, 17), (rerun, 3)
+    ):
+        specs.clear()
+        assert check().passed
+        assert len(specs) == len(set(specs)) == points
+
+
+def test_formula_checks_name_the_moment_routes_and_point(monkeypatch):
+    """A formula off by one at one grid point fails its check with that
+    point as counterexample and the moment and both routes named."""
+    real_mean = verify.bernoulli_mean_matchings
+    monkeypatch.setattr(
+        verify, "bernoulli_mean_matchings", lambda m, n: real_mean(m, n) + ((m, n) == (2, 3))
+    )
+    mean = real_mean(2, 3)
+    assert verify.check_fair_coin_formulas().detail == (
+        f"mean formula {mean + 1}, enumeration {mean} at (m, n); counterexample:\n(2, 3)"
+    )
+    monkeypatch.setattr(verify, "bernoulli_mean_matchings", real_mean)
+    real_closed = verify.bernoulli_second_moment_closed_form
+    monkeypatch.setattr(
+        verify,
+        "bernoulli_second_moment_closed_form",
+        lambda m, n: real_closed(m, n) + ((m, n) == (5, 7)),
+    )
+    second = real_closed(5, 7)
+    assert verify.check_fair_coin_formulas().detail == (
+        f"second moment recurrence {second}, closed form {second + 1} at (m, n); "
+        "counterexample:\n(5, 7)"
+    )
+    real_second = verify.edge_count_second_moment
+    monkeypatch.setattr(
+        verify, "edge_count_second_moment", lambda n, m: real_second(n, m) + ((n, m) == (3, 5))
+    )
+    second = real_second(3, 5)
+    assert verify.check_edge_count_formulas().detail == (
+        f"second moment formula {second + 1}, enumeration {second} at (n, m); "
+        "counterexample:\n(3, 5)"
+    )
+
+
+def test_run_suite_refuses_an_unknown_tier():
+    with pytest.raises(ValueError, match="unknown tier 'bogus'"):
+        verify.run_suite("bogus")
 
 def test_ratio_scan_csv(capsys):
     code, out, err = run_cli(

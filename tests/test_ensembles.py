@@ -286,3 +286,11 @@ def test_stream_first_draws_pinned():
     for key, first in pinned.items():
         stream = RandomStream(*key)
         assert [stream.randbelow(b) for b in bounds] == first
+
+
+def test_enumerate_degenerate_bernoulli():
+    """p = 0 and p = 1 have a one-matrix support."""
+    for p, matrix in (
+        (Fraction(0), ZeroOneMatrix.zeros(3, 5)), (Fraction(1), ZeroOneMatrix.ones(3, 5))
+    ):
+        assert list(enumerate_ensemble(EnsembleSpec(EnsembleKind.BERNOULLI, 3, 5, p))) == [matrix]

@@ -8,7 +8,7 @@ import pytest
 
 from matchcount import estimators
 from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble
-from matchcount.errors import CapacityError, DomainError, ShapeError
+from matchcount.errors import CapacityError, DomainError, EquivalenceViolationError, ShapeError
 from matchcount.estimators import (
     Method,
     TrialStats,
@@ -255,3 +255,35 @@ def test_transformed_distribution_identity():
                 assert y % nfact == 0
                 scaled[y // nfact] = scaled.get(y // nfact, Fraction(0)) + p
             assert scaled == amm_dist
+
+
+def test_square_only_routes_refuse_other_shapes():
+    a = ZeroOneMatrix.ones(2, 3)
+    for route in (permanent_ryser, rm_trial_second_moment):
+        with pytest.raises(ShapeError, match="2x3"):
+            route(a)
+    with pytest.raises(ShapeError, match="2x3"):
+        outcome_distribution(a, Method.RM)
+
+
+def test_transformed_equivalence_raises_on_a_wrong_rm_law(monkeypatch):
+    """An rm output on the transform that n! does not divide, or a scaled rm
+    law that differs from amm's, raises EquivalenceViolationError."""
+    real = estimators.outcome_distribution
+
+    def rm_law_mapped(shift, scale):
+        def law(a, method):
+            dist = real(a, method)
+            if method is Method.AMM:
+                return dist
+            return {y * scale + shift: p for y, p in dist.items()}
+
+        return law
+
+    a = ZeroOneMatrix.ones(2, 2)
+    monkeypatch.setattr(estimators, "outcome_distribution", rm_law_mapped(1, 1))
+    with pytest.raises(EquivalenceViolationError, match="not divisible by 2!"):
+        transformed_equivalence_check(a)
+    monkeypatch.setattr(estimators, "outcome_distribution", rm_law_mapped(0, 2))
+    with pytest.raises(EquivalenceViolationError, match="distributions differ"):
+        transformed_equivalence_check(a)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcount.ensembles import EnsembleKind, EnsembleSpec
+from matchcount.ensembles import EnsembleKind, EnsembleSpec, enumerate_ensemble, matrix_probability
 from matchcount.errors import CapacityError, DomainError
 from matchcount.exact import amm_trial_second_moment, count_all_matchings
 from matchcount.moments import (
@@ -489,3 +489,36 @@ def test_oracle_handles_biased_bernoulli():
     # hand sum: E[count] = 1 + E[#singles] + E[#pairs]
     #   4 cells each present w.p. 1/3; 2 disjoint pairs each w.p. 1/9
     assert value == 1 + 4 * Fraction(1, 3) + 2 * Fraction(1, 9)
+
+
+def test_oracle_averages_several_statistics_in_one_enumeration():
+    """One statistic gives the probability-weighted sum as one Fraction; several
+    give a tuple, in the order given, equal to one call per statistic."""
+
+    def square(a):
+        return count_all_matchings(a) ** 2
+
+    for spec in (
+        EnsembleSpec(EnsembleKind.BERNOULLI, 2, 3, Fraction(1, 3)),
+        EnsembleSpec(EnsembleKind.EXACT_ONES, 4, 3),
+    ):
+        support = enumerate_ensemble(spec)
+        weighted = sum(
+            (matrix_probability(spec, a) * count_all_matchings(a) for a in support), Fraction(0)
+        )
+        mean = ensemble_moment_oracle(spec, count_all_matchings)
+        assert type(mean) is Fraction and mean == weighted
+        statistics = square, count_all_matchings, amm_trial_second_moment
+        assert ensemble_moment_oracle(spec, *statistics) == (
+            ensemble_moment_oracle(spec, square),
+            mean,
+            ensemble_moment_oracle(spec, amm_trial_second_moment),
+        )
+    assert mean == edge_count_mean_matchings(3, 4)
+
+
+def test_closed_form_and_diag_bound_domains():
+    with pytest.raises(DomainError):
+        bernoulli_second_moment_closed_form(3, 2)
+    with pytest.raises(DomainError):
+        second_moment_diag_lower_bound(-1)
